@@ -25,7 +25,6 @@ from .criterion import (
     objective,
     prox_block_l2,
     prox_l1,
-    subgradient_structure,
 )
 from .data import (
     ConditionDataset,
@@ -117,5 +116,4 @@ __all__ = [
     "run_pipeline",
     "solve",
     "solve_oracle",
-    "subgradient_structure",
 ]

@@ -53,24 +53,20 @@ class CoalescenceCertificate:
     stationarity_gap: float
 
 
-def _gradients_at_pooled(
+def _pooled_gradients(
     problems: list[RegressionProblem],
-) -> tuple[list[np.ndarray], ParameterVector]:
+) -> tuple[list[np.ndarray], list[float], ParameterVector]:
+    """Per-condition gradients at the pooled fit, their norms and the fit."""
+    if len(problems) < 2:
+        raise FusionUndefinedError("fusion bound undefined for a single condition")
     star = pooled_ls_fit(problems).theta
     grads = [2.0 * p.Phi.T @ (p.Y - p.Phi @ star.values) for p in problems]
-    return grads, star
-
-
-def _gradient_norms(problems: list[RegressionProblem]) -> tuple[list[float], list[np.ndarray], ParameterVector]:
-    grads, star = _gradients_at_pooled(problems)
-    return [float(np.linalg.norm(g)) for g in grads], grads, star
+    return grads, [float(np.linalg.norm(g)) for g in grads], star
 
 
 def lambda1_max(problems: list[RegressionProblem]) -> float:
     """Smallest fusion weight consistent with coalesced first-order optimality."""
-    if len(problems) < 2:
-        raise FusionUndefinedError("fusion bound undefined for a single condition")
-    norms, _, _ = _gradient_norms(problems)
+    _, norms, _ = _pooled_gradients(problems)
     return max(norms) / (len(problems) - 1)
 
 
@@ -83,17 +79,13 @@ def lambda2_max(problems: list[RegressionProblem]) -> float:
 
 def lambda1_sufficient_bound(problems: list[RegressionProblem]) -> float:
     """Fusion weight guaranteeing the coalescence certificate passes."""
-    if len(problems) < 2:
-        raise FusionUndefinedError("fusion bound undefined for a single condition")
-    norms, _, _ = _gradient_norms(problems)
+    _, norms, _ = _pooled_gradients(problems)
     return 2.0 * max(norms) / len(problems)
 
 
 def compute_bounds(problems: list[RegressionProblem]) -> BoundsReport:
     """Both penalty bounds plus the pooled fit they are evaluated at."""
-    if len(problems) < 2:
-        raise FusionUndefinedError("fusion bound undefined for a single condition")
-    norms, grads, star = _gradient_norms(problems)
+    grads, norms, star = _pooled_gradients(problems)
     K = len(problems)
     return BoundsReport(
         lambda1_max=max(norms) / (K - 1),
@@ -111,9 +103,7 @@ def kkt_necessary_margin(
 
     All margins are nonnegative exactly when lambda1 >= lambda1_max.
     """
-    if len(problems) < 2:
-        raise FusionUndefinedError("fusion bound undefined for a single condition")
-    norms, _, _ = _gradient_norms(problems)
+    _, norms, _ = _pooled_gradients(problems)
     K = len(problems)
     return [lambda1 - nk / (K - 1) for nk in norms]
 
@@ -131,9 +121,7 @@ def coalescence_certificate(
     """
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
-    if len(problems) < 2:
-        raise FusionUndefinedError("fusion bound undefined for a single condition")
-    grads, _ = _gradients_at_pooled(problems)
+    grads, _, _ = _pooled_gradients(problems)
     K = len(problems)
     G = np.asarray(grads)
     z_norm_max = 0.0

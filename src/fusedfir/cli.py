@@ -15,25 +15,25 @@ import os
 import sys
 from pathlib import Path
 
-
 from . import _json
 from .bounds import FusionUndefinedError, compute_bounds
 from .data import (
     IngestionError,
     ModelStructure,
-    build_regressor,
     generate_synthetic,
-    load_dataset,
     load_manifest,
     parse_dataset_name,
     scenario_from_config,
+    write_dataset_csv,
 )
 from .estimation import ls_fit
 from .pipeline import (
     GridSearchFailedError,
     GridSpec,
     PipelineStageError,
+    SolverNotConvergedError,
     cross_evaluate,
+    load_problems,
     read_theta_csv,
     run_pipeline,
     write_fit_matrix_csv,
@@ -51,17 +51,15 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _load_role_problems(manifest_path: Path, taps: int, role: str):
-    entries = [e for e in load_manifest(manifest_path) if e.role == role]
-    if not entries:
-        raise IngestionError(f"manifest has no {role} datasets")
-    entries.sort(key=lambda e: e.name)
-    structure = ModelStructure(taps=taps, channels=len(entries[0].channels))
-    problems = [
-        build_regressor(load_dataset(manifest_path.parent / e.file, e), structure)
-        for e in entries
-    ]
-    return structure, problems
+def _role_problems(manifest_path: Path, taps: int, roles: tuple[str, ...]):
+    """Structure and problems of the first of ``roles`` the manifest lists."""
+    entries = load_manifest(manifest_path)
+    for role in roles:
+        channels = [len(e.channels) for e in entries if e.role == role]
+        if channels:
+            structure = ModelStructure(taps=taps, channels=channels[0])
+            return structure, load_problems(manifest_path, structure, (role,))[role]
+    raise IngestionError(f"manifest has no {' or '.join(roles)} datasets")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -73,8 +71,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     datasets = generate_synthetic(scenario)
     manifest = []
     for ds in datasets:
-        from .data import write_dataset_csv
-
         write_dataset_csv(ds, out / f"{ds.name}.csv")
         parsed = parse_dataset_name(ds.name)
         role = "estimation" if parsed and parsed[1] == 1 else "validation"
@@ -107,7 +103,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    _, problems = _load_role_problems(Path(args.manifest), args.taps, "estimation")
+    _, problems = _role_problems(Path(args.manifest), args.taps, ("estimation",))
     report = compute_bounds(problems)
     text = _json.dumps(report.to_dict())
     if args.out:
@@ -118,7 +114,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _, problems = _load_role_problems(Path(args.manifest), args.taps, "estimation")
+    _, problems = _role_problems(Path(args.manifest), args.taps, ("estimation",))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fits = [ls_fit(p) for p in problems]
@@ -157,7 +153,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     variant = "l2_squared" if args.fusion_variant == "l2-squared" else "l2"
     report = run_pipeline(
-        entries,
+        manifest_path,
         structure,
         grid,
         args.k,
@@ -167,7 +163,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         literal_criterion=args.literal_criterion,
         auto_k=args.auto_k,
         threads=args.threads,
-        base_dir=manifest_path.parent,
     )
 
     out = Path(args.out)
@@ -211,10 +206,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    manifest_path = Path(args.manifest)
-    entries = load_manifest(manifest_path)
-    role = "evaluation" if any(e.role == "evaluation" for e in entries) else "validation"
-    structure, problems = _load_role_problems(manifest_path, args.taps, role)
+    structure, problems = _role_problems(
+        Path(args.manifest), args.taps, ("evaluation", "validation")
+    )
     models = read_theta_csv(args.thetas, structure)
     reports = cross_evaluate(models, problems)
     if args.out:
@@ -298,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc.cause, FusionUndefinedError):
             return EXIT_PRECONDITION
-        if isinstance(exc.cause, GridSearchFailedError) or "converge" in str(exc.cause):
+        if isinstance(exc.cause, (GridSearchFailedError, SolverNotConvergedError)):
             return EXIT_NO_CONVERGENCE
         return EXIT_DATA
     except (IngestionError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

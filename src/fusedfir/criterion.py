@@ -1,4 +1,4 @@
-"""The joint estimation criterion and its proximal / subgradient pieces.
+"""The joint estimation criterion and its proximal pieces.
 
 The criterion couples per-condition squared error with a pairwise
 Euclidean fusion penalty (pulling condition models together) and an l1
@@ -14,6 +14,7 @@ variant squares the pair distances.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -69,34 +70,39 @@ def pair_list(K: int) -> list[tuple[int, int]]:
     return [(k, i) for i in range(K) for k in range(i)]
 
 
-def _check_shared_structure(thetas: list[ParameterVector]) -> None:
+def pair_distances(stack: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield norm(stack[:i] - stack[i], axis=1) for i = 1..K-1.
+
+    Concatenated, the yielded arrays hold one distance per unordered pair
+    in ``pair_list`` order.
+    """
+    for i in range(1, len(stack)):
+        yield np.linalg.norm(stack[:i] - stack[i], axis=1)
+
+
+def _shared_stack(thetas: list[ParameterVector]) -> np.ndarray:
+    if not thetas:
+        raise ValueError("need at least one parameter vector")
     structure = thetas[0].structure
     for t in thetas:
         if t.structure != structure:
             raise ValueError("parameter vectors must share one structure")
+    return np.asarray([t.values for t in thetas])
 
 
 def fusion_value(thetas: list[ParameterVector]) -> float:
     """Sum of pairwise Euclidean distances, one term per unordered pair."""
-    if not thetas:
-        raise ValueError("need at least one parameter vector")
-    _check_shared_structure(thetas)
-    stack = np.asarray([t.values for t in thetas])
     total = 0.0
-    for i in range(1, len(thetas)):
-        total += float(np.linalg.norm(stack[:i] - stack[i], axis=1).sum())
+    for d in pair_distances(_shared_stack(thetas)):
+        total += float(d.sum())
     return total
 
 
 def fusion_value_squared(thetas: list[ParameterVector]) -> float:
     """Sum of squared pairwise Euclidean distances (smooth fusion variant)."""
-    if not thetas:
-        raise ValueError("need at least one parameter vector")
-    _check_shared_structure(thetas)
-    stack = np.asarray([t.values for t in thetas])
     total = 0.0
-    for i in range(1, len(thetas)):
-        total += float((np.linalg.norm(stack[:i] - stack[i], axis=1) ** 2).sum())
+    for d in pair_distances(_shared_stack(thetas)):
+        total += float((d ** 2).sum())
     return total
 
 
@@ -135,16 +141,15 @@ def objective(
 
 
 def prox_block_l2(v: np.ndarray, tau: float) -> np.ndarray:
-    """Proximal map of tau*||.||_2: shrink v toward 0, to 0 when ||v|| <= tau."""
+    """Proximal map of tau*||.||_2 on each row along the last axis: shrink
+    the row toward 0, to 0 when its norm is at most tau."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     v = np.asarray(v, dtype=float)
-    if tau == 0.0:
-        return v.copy()
-    norm = float(np.linalg.norm(v))
-    if norm <= tau:
-        return np.zeros_like(v)
-    return (1.0 - tau / norm) * v
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
+    return scale * v
 
 
 def prox_l1(v: np.ndarray, tau: float) -> np.ndarray:
@@ -153,29 +158,3 @@ def prox_l1(v: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("tau must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-@dataclass(frozen=True)
-class SignedPair:
-    """One pair term in a coupling subgradient: sign * z_(hi,lo)."""
-
-    hi: int
-    lo: int
-    sign: int
-
-
-def subgradient_structure(K: int) -> list[list[SignedPair]]:
-    """Signed pair-incidence of the fusion term's subgradient per condition.
-
-    Pair (hi, lo), hi > lo, carries one dual-ball element; condition ``lo``
-    sees it with sign -1 and condition ``hi`` with sign +1.  Entry k of the
-    result lists the K-1 terms of condition k's coupling subgradient.
-    """
-    if K < 2:
-        raise ValueError(f"need at least two conditions, got K={K}")
-    per_condition: list[list[SignedPair]] = []
-    for k in range(K):
-        terms = [SignedPair(hi=i, lo=k, sign=-1) for i in range(k + 1, K)]
-        terms += [SignedPair(hi=k, lo=j, sign=+1) for j in range(k)]
-        per_condition.append(terms)
-    return per_condition

@@ -16,11 +16,10 @@ import numpy as np
 
 from . import _json
 from .bounds import BoundsReport, compute_bounds, lambda1_max
-from .criterion import FUSION_VARIANTS, Hyperparameters, objective
+from .criterion import FUSION_VARIANTS, Hyperparameters, objective, pair_distances
 from .data import (
     ConditionDataset,
     IngestionError,
-    ManifestEntry,
     ModelStructure,
     ParameterVector,
     RegressionProblem,
@@ -46,6 +45,10 @@ class PipelineStageError(RuntimeError):
 
 class GridSearchFailedError(RuntimeError):
     """No grid point converged, so no hyperparameters can be selected."""
+
+
+class SolverNotConvergedError(RuntimeError):
+    """The final joint solve hit its iteration limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,8 @@ def _validation_score(
     hp: Hyperparameters,
     literal_criterion: bool,
 ) -> float:
-    if literal_criterion:
-        return objective(val_problems, result.thetas, hp).total
-    sse = 0.0
-    for p, t in zip(val_problems, result.thetas):
-        r = p.Y - p.Phi @ t.values
-        sse += float(r @ r)
-    return sse
+    value = objective(val_problems, result.thetas, hp)
+    return value.total if literal_criterion else value.fit_term
 
 
 def grid_search(
@@ -284,7 +282,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         centers = np.asarray([X[labels == c].mean(axis=0) for c in range(k)])
         inertia = float(((X - centers[labels]) ** 2).sum())
         # Plain Lloyd steps never increase inertia; repair steps may jump.
-        assert repaired or inertia <= prev_inertia + 1e-9 * (1.0 + prev_inertia)
+        if not repaired and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
+            raise RuntimeError("k-means inertia rose on a plain Lloyd step")
         prev_inertia = inertia
     d2 = ((X - centers[labels]) ** 2).sum()
     return labels, centers, float(d2)
@@ -322,7 +321,8 @@ def kmeans(
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
-    assert best_labels is not None
+    if best_labels is None:
+        raise ValueError("k-means needs finite parameter vectors")
 
     relabel: dict[int, int] = {}
     for l in best_labels:
@@ -338,11 +338,17 @@ def kmeans(
     )
 
 
+def _distance_matrix(X: np.ndarray) -> np.ndarray:
+    D = np.zeros((len(X), len(X)))
+    for i, d in enumerate(pair_distances(X), start=1):
+        D[:i, i] = D[i, :i] = d
+    return D
+
+
 def silhouette_score(thetas: list[ParameterVector], labels: dict[str, int], names: list[str]) -> float:
     """Mean silhouette over points; singleton clusters score zero."""
-    X = np.asarray([t.values for t in thetas])
     lab = np.asarray([labels[name] for name in names])
-    D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    D = _distance_matrix(np.asarray([t.values for t in thetas]))
     scores = []
     for i in range(len(names)):
         own = (lab == lab[i]) & (np.arange(len(names)) != i)
@@ -512,72 +518,55 @@ class PipelineReport:
         return _json.dumps(self.to_dict())
 
 
-@dataclass(frozen=True)
-class _LoadedData:
-    structure: ModelStructure
-    conditions: list[str]
-    estimation: list[RegressionProblem]
-    validation: list[RegressionProblem]
-    evaluation: list[RegressionProblem]
+def load_problems(
+    manifest: str | Path, structure: ModelStructure, roles: tuple[str, ...]
+) -> dict[str, list[RegressionProblem]]:
+    """Regression problems of the manifest's datasets in each of ``roles``.
 
-
-def _load_problems(
-    manifest: list[ManifestEntry] | str | Path,
-    structure: ModelStructure,
-    base_dir: str | Path | None = None,
-) -> _LoadedData:
-    if isinstance(manifest, (str, Path)):
-        base_dir = Path(manifest).parent
-        entries = load_manifest(manifest)
-    else:
-        entries = list(manifest)
-        base_dir = Path(base_dir) if base_dir is not None else Path(".")
-
-    by_role: dict[str, dict[str, ConditionDataset]] = {
-        "estimation": {},
-        "validation": {},
-        "evaluation": {},
+    Each role's problems come in dataset-name order; datasets of other
+    roles are not read.  A name listed twice in one role raises
+    IngestionError.
+    """
+    manifest = Path(manifest)
+    by_role: dict[str, dict[str, ConditionDataset]] = {role: {} for role in roles}
+    for entry in load_manifest(manifest):
+        datasets = by_role.get(entry.role)
+        if datasets is None:
+            continue
+        if entry.name in datasets:
+            raise IngestionError(f"{entry.role} dataset {entry.name!r} is listed twice")
+        datasets[entry.name] = load_dataset(manifest.parent / entry.file, entry)
+    return {
+        role: [build_regressor(datasets[name], structure) for name in sorted(datasets)]
+        for role, datasets in by_role.items()
     }
-    for entry in entries:
-        ds = load_dataset(base_dir / entry.file, entry)
-        if ds.n_channels != structure.channels:
-            raise IngestionError(
-                f"dataset {entry.name!r} has {ds.n_channels} channels, "
-                f"structure requires {structure.channels}"
-            )
-        cond = condition_of(entry.name)
-        role = by_role[entry.role]
-        if entry.role != "evaluation" and cond in role:
-            raise IngestionError(
-                f"condition {cond!r} has multiple {entry.role} datasets"
-            )
-        role[entry.name if entry.role == "evaluation" else cond] = ds
 
-    conditions = sorted(by_role["estimation"])
+
+def _ingest(manifest: str | Path, structure: ModelStructure):
+    """Sorted conditions, their estimation and validation problems, and the
+    problems to cross-evaluate on (validation unless evaluation is listed)."""
+    loaded = load_problems(manifest, structure, ("estimation", "validation", "evaluation"))
+    paired: dict[tuple[str, str], RegressionProblem] = {}
+    for role in ("estimation", "validation"):
+        for p in loaded[role]:
+            key = (role, condition_of(p.condition_name))
+            if key in paired:
+                raise IngestionError(f"condition {key[1]!r} has multiple {role} datasets")
+            paired[key] = p
+    conditions = sorted(c for role, c in paired if role == "estimation")
     if not conditions:
         raise IngestionError("manifest has no estimation datasets")
-    missing = [c for c in conditions if c not in by_role["validation"]]
+    missing = [c for c in conditions if ("validation", c) not in paired]
     if missing:
         raise IngestionError(f"conditions missing validation datasets: {missing}")
-
-    estimation = [
-        build_regressor(by_role["estimation"][c], structure) for c in conditions
-    ]
-    validation = [
-        build_regressor(by_role["validation"][c], structure) for c in conditions
-    ]
-    if by_role["evaluation"]:
-        evaluation = [
-            build_regressor(by_role["evaluation"][name], structure)
-            for name in sorted(by_role["evaluation"])
-        ]
-    else:
-        evaluation = validation
-    return _LoadedData(structure, conditions, estimation, validation, evaluation)
+    estimation, validation = (
+        [paired[role, c] for c in conditions] for role in ("estimation", "validation")
+    )
+    return conditions, estimation, validation, loaded["evaluation"] or validation
 
 
 def run_pipeline(
-    manifest: list[ManifestEntry] | str | Path,
+    manifest: str | Path,
     structure: ModelStructure,
     grid: GridSpec,
     k_clusters: int,
@@ -588,7 +577,6 @@ def run_pipeline(
     literal_criterion: bool = False,
     auto_k: bool = False,
     threads: int | None = None,
-    base_dir: str | Path | None = None,
 ) -> PipelineReport:
     """Run bounds, grid search, joint solve, clustering, refit, evaluation.
 
@@ -605,11 +593,13 @@ def run_pipeline(
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
 
-    data = stage("ingest", _load_problems, manifest, structure, base_dir)
-    K = len(data.conditions)
+    conditions, estimation, validation, evaluation = stage(
+        "ingest", _ingest, manifest, structure
+    )
+    K = len(conditions)
 
     if K >= 2:
-        bounds_report = stage("bounds", compute_bounds, data.estimation)
+        bounds_report = stage("bounds", compute_bounds, estimation)
     else:
         bounds_report = None
         notes.append("fusion undefined for a single condition; fusion stages skipped")
@@ -617,8 +607,8 @@ def run_pipeline(
     grid_result = stage(
         "grid_search",
         grid_search,
-        data.estimation,
-        data.validation,
+        estimation,
+        validation,
         grid,
         cfg,
         fusion_variant=fusion_variant,
@@ -626,11 +616,11 @@ def run_pipeline(
         threads=threads,
     )
 
-    solve_result = stage("solve", solve, data.estimation, grid_result.hp, cfg)
+    solve_result = stage("solve", solve, estimation, grid_result.hp, cfg)
     if not solve_result.converged:
         raise PipelineStageError(
             "solve",
-            RuntimeError(
+            SolverNotConvergedError(
                 f"solver did not converge in {solve_result.iterations} iterations"
             ),
         )
@@ -639,7 +629,7 @@ def run_pipeline(
     kmeans_seed = int(seeds[0].generate_state(1)[0])
     if auto_k and K > 2:
         k_used = stage(
-            "cluster", auto_select_k, solve_result.thetas, seed, names=data.conditions
+            "cluster", auto_select_k, solve_result.thetas, seed, names=conditions
         )
         notes.append(f"auto-selected k={k_used} by silhouette")
     else:
@@ -651,14 +641,14 @@ def run_pipeline(
         k_used,
         kmeans_seed,
         10,
-        data.conditions,
+        conditions,
     )
 
-    refits = stage("refit", refit_clusters, data.estimation, assignment)
+    refits = stage("refit", refit_clusters, estimation, assignment)
     refit_members = {
         c: [
             p.condition_name
-            for p in data.estimation
+            for p in estimation
             if assignment.labels[condition_of(p.condition_name)] == c
         ]
         for c in range(assignment.k)
@@ -666,16 +656,16 @@ def run_pipeline(
     models = {
         "+".join(refit_members[c]): fit.theta for c, fit in sorted(refits.items())
     }
-    fit_reports = stage("evaluate", cross_evaluate, models, data.evaluation)
+    fit_reports = stage("evaluate", cross_evaluate, models, evaluation)
 
-    est_names = [p.condition_name for p in data.estimation]
+    est_names = [p.condition_name for p in estimation]
     return PipelineReport(
         seed=seed,
         structure=structure,
         k_clusters=k_used,
         fusion_variant=fusion_variant,
         literal_criterion=literal_criterion,
-        conditions=data.conditions,
+        conditions=conditions,
         notes=notes,
         bounds=bounds_report,
         lambda1_bound=grid_result.lambda1_bound,
@@ -716,6 +706,8 @@ def read_theta_csv(path: str | Path, structure: ModelStructure) -> dict[str, Par
     models: dict[str, ParameterVector] = {}
     for line in text[1:]:
         cells = line.split(",")
+        if cells[0] in models:
+            raise IngestionError(f"{path}: model {cells[0]!r} is listed twice")
         models[cells[0]] = ParameterVector(
             np.asarray([float(c) for c in cells[1:]]), structure
         )

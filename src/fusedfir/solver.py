@@ -15,6 +15,7 @@ sharing only objective evaluation with the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -23,7 +24,9 @@ from .criterion import (
     Hyperparameters,
     ObjectiveBreakdown,
     objective,
+    pair_distances,
     pair_list,
+    prox_block_l2,
     prox_l1,
 )
 from .data import ParameterVector, RegressionProblem
@@ -43,8 +46,6 @@ class SolverConfig:
     eps_abs: float = 1e-8
     eps_rel: float = 1e-6
     max_iter: int = 50_000
-    adapt_rho: bool = True
-    seed: int = 0  # consumed by the oracle only; solve itself is seedless
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -68,13 +69,8 @@ class SolveResult:
 
 
 def max_pairwise_distance(thetas: list[ParameterVector]) -> float:
-    if len(thetas) < 2:
-        return 0.0
     stack = np.asarray([t.values for t in thetas])
-    best = 0.0
-    for i in range(1, len(thetas)):
-        best = max(best, float(np.linalg.norm(stack[:i] - stack[i], axis=1).max()))
-    return best
+    return max((float(d.max()) for d in pair_distances(stack)), default=0.0)
 
 
 def merge_threshold(thetas: list[ParameterVector], rel: float = MERGE_REL_TOL) -> float:
@@ -92,12 +88,8 @@ def merged_pairs(
 ) -> list[tuple[int, int]]:
     """Index pairs whose models coincide up to the merge threshold."""
     thr = merge_threshold(thetas, rel)
-    stack = np.asarray([t.values for t in thetas])
-    return [
-        (k, i)
-        for (k, i) in pair_list(len(thetas))
-        if float(np.linalg.norm(stack[k] - stack[i])) <= thr
-    ]
+    dists = chain.from_iterable(pair_distances(np.asarray([t.values for t in thetas])))
+    return [pair for pair, d in zip(pair_list(len(thetas)), dists) if float(d) <= thr]
 
 
 class _ThetaStep:
@@ -145,7 +137,6 @@ def solve(
     problems: list[RegressionProblem],
     hp: Hyperparameters,
     cfg: SolverConfig | None = None,
-    initial_thetas: list[ParameterVector] | None = None,
 ) -> SolveResult:
     """ADMM minimization of the joint criterion over all condition models.
 
@@ -175,15 +166,8 @@ def solve(
         inc_t[lo, np.arange(P)] = 1.0
         inc_t[hi, np.arange(P)] = -1.0
 
-    if initial_thetas is not None:
-        if len(initial_thetas) != K:
-            raise ValueError("initial theta list length mismatch")
-        theta = np.asarray([t.values for t in initial_thetas], dtype=float)
-    else:
-        theta = np.zeros((K, n))
-
-    d = theta[lo] - theta[hi] if use_pairs else np.zeros((0, n))
-    w = theta.copy()
+    d = np.zeros((P, n))
+    w = np.zeros((K, n))
     u = np.zeros_like(d)
     v = np.zeros_like(w)
 
@@ -219,12 +203,7 @@ def solve(
 
         if use_pairs:
             d_old = d
-            V = theta[lo] - theta[hi] + u
-            norms = np.linalg.norm(V, axis=1)
-            tau = hp.lambda1 / rho
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
-            d = scale[:, None] * V
+            d = prox_block_l2(theta[lo] - theta[hi] + u, hp.lambda1 / rho)
             u = u + (theta[lo] - theta[hi]) - d
         w_old = w
         w = prox_l1(theta + v, hp.lambda2 / rho)
@@ -256,7 +235,7 @@ def solve(
             converged = True
             break
 
-        if cfg.adapt_rho and rescales < 10:
+        if rescales < 10:
             if r_norm > 10.0 * s_norm:
                 rho *= 2.0
                 u /= 2.0

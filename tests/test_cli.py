@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusedfir import Hyperparameters, pipeline
 from fusedfir.cli import main
 
 SCENARIO = {
@@ -188,6 +190,39 @@ class TestRun:
         argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out), *RUN_ARGS]
         assert main(argv) == 0
 
+    def test_missing_file_under_converge_dir_exit_2(self, tmp_path):
+        # A data error stays a data error whatever words its path contains.
+        config = write_scenario(tmp_path)
+        data = tmp_path / "converge_study"
+        main(["synth", str(config), "--out", str(data)])
+        (data / "BR30-2.csv").unlink()
+        argv = ["run", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
+        assert main(argv) == 2
+
+    def test_final_solve_nonconvergence_exit_4(self, synth_dir, tmp_path, monkeypatch):
+        real_solve = pipeline.solve
+        monkeypatch.setattr(
+            pipeline,
+            "grid_search",
+            lambda *a, **kw: pipeline.GridSearchResult(Hyperparameters(0.0, 0.0), [], None),
+        )
+        monkeypatch.setattr(
+            pipeline,
+            "solve",
+            lambda *a, **kw: dataclasses.replace(real_solve(*a, **kw), converged=False),
+        )
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
+        assert main(argv) == 4
+
+    def test_duplicate_evaluation_name_exit_2(self, synth_dir, tmp_path):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        for source in ("BR30-2", "BR40-2"):
+            entry = next(e for e in manifest if e["name"] == source)
+            manifest.append(dict(entry, name="BR30-3", role="evaluation"))
+        (synth_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
+        assert main(argv) == 2
+
 
 class TestEval:
     def test_eval_from_stored_thetas(self, synth_dir, tmp_path, capsys):
@@ -207,3 +242,10 @@ class TestEval:
         lines = matrix.read_text().strip().splitlines()
         assert lines[0].startswith("model_source,")
         assert len(lines) == 3  # two category models
+
+    def test_repeated_model_name_exit_2(self, synth_dir, tmp_path):
+        thetas = tmp_path / "thetas.csv"
+        header = "name," + ",".join(f"theta_{i}" for i in range(6))
+        thetas.write_text(f"{header}\nA,1,0,0,0,0,0\nA,2,0,0,0,0,0\n", encoding="utf-8")
+        argv = ["eval", "--manifest", str(synth_dir / "manifest.json"), "--taps", "3", "--thetas", str(thetas)]
+        assert main(argv) == 2

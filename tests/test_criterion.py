@@ -12,9 +12,8 @@ from fusedfir import (
     objective,
     prox_block_l2,
     prox_l1,
-    subgradient_structure,
 )
-from fusedfir.criterion import SignedPair, pair_list
+from fusedfir.criterion import pair_distances, pair_list
 
 from conftest import random_problems, scalar_pair
 
@@ -182,33 +181,21 @@ class TestProx:
             assert val <= cand_vals.min() + 1e-8
 
 
-class TestSubgradientStructure:
-    def test_three_conditions_matches_hand_expansion(self):
-        per_condition = subgradient_structure(3)
-        assert per_condition[0] == [SignedPair(1, 0, -1), SignedPair(2, 0, -1)]
-        assert per_condition[1] == [SignedPair(2, 1, -1), SignedPair(1, 0, +1)]
-        assert per_condition[2] == [SignedPair(2, 0, +1), SignedPair(2, 1, +1)]
+class TestPairDistances:
+    @pytest.mark.parametrize("K,n", [(1, 3), (2, 1), (3, 4), (7, 15), (10, 130)])
+    def test_matches_per_pair_loop(self, K, n):
+        # The distances come in pair_list order, each bit-identical to the
+        # same norm taken one pair at a time.
+        stack = np.random.default_rng(K * n).standard_normal((K, n))
+        got = [float(x) for d in pair_distances(stack) for x in d]
+        expected = [
+            float(np.sqrt(((stack[k] - stack[i]) ** 2).sum())) for k, i in pair_list(K)
+        ]
+        assert got == expected
 
-    def test_two_conditions(self):
-        per_condition = subgradient_structure(2)
-        assert per_condition[0] == [SignedPair(1, 0, -1)]
-        assert per_condition[1] == [SignedPair(1, 0, +1)]
-
-    @pytest.mark.parametrize("K", [2, 3, 4, 7])
-    def test_counts_and_antisymmetry(self, K):
-        per_condition = subgradient_structure(K)
-        assert all(len(terms) == K - 1 for terms in per_condition)
-        totals: dict[tuple[int, int], int] = {}
-        for terms in per_condition:
-            for t in terms:
-                totals[(t.hi, t.lo)] = totals.get((t.hi, t.lo), 0) + t.sign
-        assert len(totals) == K * (K - 1) // 2
-        assert all(v == 0 for v in totals.values())
-        assert set(totals) == set((i, k) for k, i in pair_list(K))
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            subgradient_structure(1)
+    def test_pair_list_order(self):
+        assert pair_list(1) == []
+        assert pair_list(4) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
 class TestDualNormSelfDuality:

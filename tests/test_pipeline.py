@@ -24,7 +24,13 @@ from fusedfir import (
     run_pipeline,
 )
 from fusedfir.data import ManifestEntry, write_dataset_csv
-from fusedfir.pipeline import ScoreRow, _better_row, auto_select_k, silhouette_score
+from fusedfir.pipeline import (
+    ScoreRow,
+    _better_row,
+    _distance_matrix,
+    auto_select_k,
+    silhouette_score,
+)
 
 from conftest import random_problems
 
@@ -119,6 +125,12 @@ class TestKmeans:
         out = kmeans(thetas, k=2, seed=0, names=names)
         assert silhouette_score(thetas, out.labels, names) > 0.9
         assert auto_select_k(thetas, seed=0, names=names) == 2
+
+    @pytest.mark.parametrize("K,n", [(1, 2), (2, 1), (6, 15), (11, 140)])
+    def test_silhouette_distance_matrix_matches_broadcast(self, K, n):
+        X = np.random.default_rng(K + n).standard_normal((K, n))
+        expected = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+        np.testing.assert_array_equal(_distance_matrix(X), expected)
 
 
 class TestGridSearch:

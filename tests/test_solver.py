@@ -147,16 +147,6 @@ class TestSolverMechanics:
         assert it == result.iterations
         assert obj == pytest.approx(result.objective.total, rel=1e-6)
 
-    def test_initial_theta_accepted(self):
-        problems = random_problems(12, K=2, n=4, M=12)
-        hp = Hyperparameters(0.3, 0.0)
-        warm = solve(problems, hp).thetas
-        again = solve(problems, hp, initial_thetas=warm)
-        assert again.converged
-        assert again.objective.total == pytest.approx(
-            objective(problems, warm, hp).total, rel=1e-8
-        )
-
     def test_single_condition(self):
         problems = random_problems(13, K=1, n=4, M=12)
         result = solve(problems, Hyperparameters(0.0, 0.5))
