@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 NAME_RE = re.compile(r"^(?P<cond>[A-Za-z]+\d+)-(?P<idx>\d+)$")
 
@@ -382,6 +381,7 @@ def _simulate_output(
     inputs: np.ndarray, theta: ParameterVector, noise: np.ndarray
 ) -> np.ndarray:
     """FIR response with zero initial conditions plus additive noise."""
+    from scipy.signal import lfilter  # deferred: only synthetic data needs it
     structure = theta.structure
     y = np.zeros(inputs.shape[0])
     for j in range(1, structure.channels + 1):
@@ -397,6 +397,7 @@ def generate_synthetic(scn: SyntheticScenario) -> list[ConditionDataset]:
     every fully populated window Y - Phi @ theta equals the injected noise.
     Deterministic for a fixed seed.
     """
+    from scipy.signal import lfilter  # deferred: only synthetic data needs it
     rng = np.random.default_rng(scn.seed)
     structure = scn.structure
     L = scn.samples_per_condition

@@ -248,10 +248,9 @@ class ClusterAssignment:
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [X[int(rng.integers(X.shape[0]))]]
+    d2 = np.full(X.shape[0], np.inf)
     for _ in range(k - 1):
-        d2 = np.min(
-            [np.sum((X - c) ** 2, axis=1) for c in centers], axis=0
-        )
+        d2 = np.minimum(d2, np.sum((X - centers[-1]) ** 2, axis=1))
         total = float(d2.sum())
         if total == 0.0:
             idx = int(rng.integers(X.shape[0]))

@@ -4,8 +4,8 @@
 (Euclidean fusion prox) and one auxiliary copy per condition (l1 prox).
 The theta step solves its coupled positive-definite system exactly: the
 complete-graph coupling is a rank-n_theta correction of the per-condition
-systems, so cached Cholesky factors plus one capacity-matrix solve give
-the joint minimizer each iteration.
+systems, so explicit inverses, rebuilt with scipy only when rho changes,
+give the joint minimizer each iteration in a few batched products.
 
 ``solve_oracle`` is a deliberately independent slow check: plain
 subgradient descent with diminishing steps and best-iterate tracking,
@@ -97,28 +97,24 @@ class _ThetaStep:
 
     M_k = G_k + m_diag * I and B stacks K copies of the identity, which is
     exactly the theta-step Hessian: diagonal blocks G_k + (m_diag - corr) I
-    and every off-diagonal block -corr * I.  Factorizations are cached for
-    a fixed (m_diag, corr).
+    and every off-diagonal block -corr * I.  It holds M_k^-1 as a (K, n, n)
+    stack and, if corr > 0, the inverse of the capacity matrix I/corr -
+    sum_k M_k^-1, so a solve (Woodbury identity) makes no scipy call.
     """
 
-    def __init__(self, G_list: list[np.ndarray], m_diag: float, corr: float):
-        n = G_list[0].shape[0]
-        eye = np.eye(n)
-        self._factors = [cho_factor(G + m_diag * eye) for G in G_list]
-        self._corr = corr
+    def __init__(self, G: np.ndarray, m_diag: float, corr: float):
+        eye = np.eye(G.shape[1])
+        self._Minv = np.asarray([cho_solve(cho_factor(Gk + m_diag * eye), eye) for Gk in G])
+        self._capinv = None
         if corr > 0.0:
-            inv_sum = np.zeros((n, n))
-            for f in self._factors:
-                inv_sum += cho_solve(f, eye)
             # Capacity matrix of the rank-n coupling; PD because A is PD.
-            self._cap = cho_factor(eye / corr - inv_sum)
+            self._capinv = cho_solve(cho_factor(eye / corr - self._Minv.sum(axis=0)), eye)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        part = np.asarray([cho_solve(f, r) for f, r in zip(self._factors, rhs)])
-        if self._corr == 0.0:
+        part = np.einsum("kij,kj->ki", self._Minv, rhs)
+        if self._capinv is None:
             return part
-        t = cho_solve(self._cap, part.sum(axis=0))
-        return part + np.asarray([cho_solve(f, t) for f in self._factors])
+        return part + self._Minv @ (self._capinv @ part.sum(axis=0))
 
 
 def _check_problems(problems: list[RegressionProblem]) -> None:
@@ -149,7 +145,7 @@ def solve(
     structure = problems[0].structure
     K, n = len(problems), structure.n_theta
 
-    G_list = [2.0 * p.Phi.T @ p.Phi for p in problems]
+    G = np.asarray([2.0 * p.Phi.T @ p.Phi for p in problems])
     b = np.asarray([2.0 * p.Phi.T @ p.Y for p in problems])
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite data in problems")
@@ -179,9 +175,9 @@ def solve(
         # every off-diagonal block -corr * I; M absorbs corr once since BB^T
         # carries identity blocks on its own diagonal.
         if use_pairs:
-            return _ThetaStep(G_list, rho_val * (K + 1), rho_val)
+            return _ThetaStep(G, rho_val * (K + 1), rho_val)
         corr = 2.0 * quad_fusion
-        return _ThetaStep(G_list, corr * K + rho_val, corr)
+        return _ThetaStep(G, corr * K + rho_val, corr)
 
     step = make_step(rho)
 
@@ -202,9 +198,10 @@ def solve(
             raise SolverNumericalError(f"non-finite iterate at iteration {it}")
 
         if use_pairs:
+            diff = theta[lo] - theta[hi]
             d_old = d
-            d = prox_block_l2(theta[lo] - theta[hi] + u, hp.lambda1 / rho)
-            u = u + (theta[lo] - theta[hi]) - d
+            d = prox_block_l2(diff + u, hp.lambda1 / rho)
+            u = u + diff - d
         w_old = w
         w = prox_l1(theta + v, hp.lambda2 / rho)
         v = v + theta - w
@@ -212,7 +209,7 @@ def solve(
         pri_blocks = [theta - w]
         dual_change = w - w_old
         if use_pairs:
-            pri_blocks.append(theta[lo] - theta[hi] - d)
+            pri_blocks.append(diff - d)
             dual_change = dual_change + inc_t @ (d - d_old)
         r_norm = float(np.sqrt(sum(float(np.sum(bk * bk)) for bk in pri_blocks)))
         s_norm = rho * float(np.linalg.norm(dual_change))

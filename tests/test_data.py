@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -235,6 +240,21 @@ def two_group_scenario(noise=0.1, seed=42, samples=40, taps=3):
 
 
 class TestSynthetic:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # Only the synthetic generator filters, so the other commands skip
+        # the cost of importing scipy.signal.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, fusedfir.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_dataset_count_and_names(self):
         datasets = generate_synthetic(two_group_scenario())
         names = [d.name for d in datasets]

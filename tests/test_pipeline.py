@@ -28,6 +28,7 @@ from fusedfir.pipeline import (
     ScoreRow,
     _better_row,
     _distance_matrix,
+    _kmeans_pp_init,
     auto_select_k,
     silhouette_score,
 )
@@ -131,6 +132,29 @@ class TestKmeans:
         X = np.random.default_rng(K + n).standard_normal((K, n))
         expected = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
         np.testing.assert_array_equal(_distance_matrix(X), expected)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_kmeans_pp_running_minimum_matches_stacked(self, k):
+        X = np.random.default_rng(12).standard_normal((12, 3))
+
+        def stacked_init(rng):
+            # D^2 seeding with the minimum over every chosen centre restacked.
+            centers = [X[int(rng.integers(X.shape[0]))]]
+            for _ in range(k - 1):
+                d2 = np.min([np.sum((X - c) ** 2, axis=1) for c in centers], axis=0)
+                total = float(d2.sum())
+                if total == 0.0:
+                    idx = int(rng.integers(X.shape[0]))
+                else:
+                    idx = int(rng.choice(X.shape[0], p=d2 / total))
+                centers.append(X[idx])
+            return np.asarray(centers)
+
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                _kmeans_pp_init(X, k, np.random.default_rng(seed)),
+                stacked_init(np.random.default_rng(seed)),
+            )
 
 
 class TestGridSearch:

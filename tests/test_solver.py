@@ -18,6 +18,7 @@ from fusedfir import (
     solve,
     solve_oracle,
 )
+from fusedfir.solver import _ThetaStep
 
 from conftest import random_problems, scalar_pair
 
@@ -161,6 +162,46 @@ class TestSolverMechanics:
         assert is_coalesced([a, b])
         assert not is_coalesced([a, b, c])
         assert merged_pairs([a, b, c]) == [(0, 1)]
+
+
+def _gram(rng: np.random.Generator, n: int, M: int, rank_deficient: bool) -> np.ndarray:
+    """2 Phi^T Phi; a rank-deficient Phi has a duplicated and a zeroed column."""
+    Phi = rng.standard_normal((M, n))
+    if rank_deficient:
+        Phi[:, 1] = Phi[:, 0]
+        Phi[:, 2] = 0.0
+    return 2.0 * Phi.T @ Phi
+
+
+class TestThetaStep:
+    """The batched inverse theta step against a dense solve of the
+    assembled (K n) x (K n) system, which also checks the capacity matrix
+    at large rho * K and with singular G_k."""
+
+    @pytest.mark.parametrize("K", [2, 6, 48])
+    @pytest.mark.parametrize("rho", [2.0**-10, 1.0, 2.0**20])
+    @pytest.mark.parametrize("coupling", ["l2", "l2_squared", "uncoupled"])
+    def test_matches_dense_solve(self, K, rho, coupling):
+        n, M = 6, 20
+        rng = np.random.default_rng(K)
+        G = np.asarray([_gram(rng, n, M, rank_deficient=k == 0) for k in range(K)])
+        # (m_diag, corr) as solve builds them for each fusion variant.
+        if coupling == "l2":
+            m_diag, corr = rho * (K + 1), rho
+        elif coupling == "l2_squared":
+            lambda1 = 0.7
+            m_diag, corr = 2.0 * lambda1 * K + rho, 2.0 * lambda1
+        else:
+            m_diag, corr = rho, 0.0
+        A = np.kron(np.eye(K), m_diag * np.eye(n)) - corr * np.kron(np.ones((K, K)), np.eye(n))
+        for k in range(K):
+            A[k * n:(k + 1) * n, k * n:(k + 1) * n] += G[k]
+        rhs = rng.standard_normal((K, n)) * np.maximum(1.0, rho)
+        expected = np.linalg.solve(A, rhs.ravel()).reshape(K, n)
+        got = _ThetaStep(G, m_diag, corr).solve(rhs)
+        # Relative to the solution's norm: entries near zero carry the
+        # dense solve's own rounding.
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestOracle:
