@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criterion import pair_distances
 from .data import ParameterVector, RegressionProblem
 from .estimation import pooled_ls_fit
 
@@ -122,20 +123,11 @@ def coalescence_certificate(
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
     grads, _, _ = _pooled_gradients(problems)
-    K = len(problems)
     G = np.asarray(grads)
-    z_norm_max = 0.0
-    stationarity_gap = 0.0
-    for k in range(K):
-        z_sum = np.zeros_like(G[k])
-        for i in range(K):
-            if i == k:
-                continue
-            z_ki = (G[k] - G[i]) / (lambda1 * K)
-            z_sum += z_ki
-            z_norm_max = max(z_norm_max, float(np.linalg.norm(z_ki)))
-        gap = float(np.abs(z_sum - G[k] / lambda1).max())
-        stationarity_gap = max(stationarity_gap, gap)
+    scale = lambda1 * len(problems)
+    z_norm_max = max(float(d.max()) for d in pair_distances(G)) / scale
+    # sum_{i != k} z_ki - g_k / lambda1 = -sum_i g_i / (lambda1 K) for every k.
+    stationarity_gap = float(np.abs(G.sum(axis=0)).max()) / scale
     return CoalescenceCertificate(
         z_norm_max=z_norm_max,
         certified=z_norm_max <= 1.0 + _CERT_SLACK,

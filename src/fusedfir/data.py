@@ -241,14 +241,15 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
     """Load one dataset CSV, mapping columns by header name.
 
     Expected layout: ordinal column ``t`` first, named input channels,
-    output column last; extra columns are ignored.  Cell-level problems
-    (non-numeric, non-finite, ragged rows) raise IngestionError naming the
-    offending row and column.
+    output column last; extra columns are ignored.  A UTF-8 byte order
+    mark and trailing blank rows are accepted.  Cell-level problems
+    (non-numeric, non-finite, ragged or blank rows before data) raise
+    IngestionError naming the offending row and column.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -268,7 +269,13 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
         take = [col_index[name] for name in wanted]
 
         rows: list[list[float]] = []
+        blank = None  # first blank row; only trailing ones are accepted
         for rownum, row in enumerate(reader, start=2):
+            if not row:
+                blank = blank or rownum
+                continue
+            if blank is not None:
+                raise IngestionError(f"{path}: row {blank} is blank but data follows")
             if len(row) != len(header):
                 raise IngestionError(
                     f"{path}: row {rownum} has {len(row)} cells, header has "

@@ -9,7 +9,7 @@ held-out data with the FIT percentage.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,9 +183,10 @@ def grid_search(
     validation problems (squared-error score by default; the full
     criterion value when ``literal_criterion``).  Non-converged points
     score +inf and stay flagged in the table.  Ties prefer the larger
-    lambda1, then the larger lambda2.
+    lambda1, then the larger lambda2.  Grid solves are never traced: only
+    the final solve's trace is kept.
     """
-    cfg = cfg or SolverConfig()
+    cfg = replace(cfg or SolverConfig(), trace=False)
     if fusion_variant not in FUSION_VARIANTS:
         raise ValueError(f"unknown fusion variant {fusion_variant!r}")
     if len(estimation_problems) != len(validation_problems) or not estimation_problems:

@@ -89,6 +89,21 @@ class TestLoadDataset:
         with pytest.raises(IngestionError, match="no data rows"):
             load_dataset(p, entry())
 
+    def test_trailing_blank_rows_accepted(self, tmp_path):
+        p = write(tmp_path, "t,s1,y\n1,0.5,10\n2,1.5,20\n\n\n")
+        ds = load_dataset(p, entry())
+        assert ds.output.tolist() == [10, 20]
+
+    def test_blank_row_before_data(self, tmp_path):
+        p = write(tmp_path, "t,s1,y\n1,0.5,10\n\n2,1.5,20\n")
+        with pytest.raises(IngestionError, match="row 3"):
+            load_dataset(p, entry())
+
+    def test_byte_order_mark_on_channel_column(self, tmp_path):
+        p = write(tmp_path, "\ufeffs1,t,y\n0.5,1,10\n1.5,2,20\n")
+        ds = load_dataset(p, entry())
+        assert ds.inputs[:, 0].tolist() == [0.5, 1.5]
+
     def test_roundtrip_write_read(self, tmp_path):
         ds = ConditionDataset(
             "BR30-1",

@@ -222,6 +222,23 @@ class TestGridSearch:
         assert seq.hp == par.hp
         assert seq.score_table == par.score_table
 
+    def test_traced_config_leaves_grid_solves_untraced(self, monkeypatch):
+        import fusedfir.solver
+
+        calls = []
+        real = fusedfir.solver.objective
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusedfir.solver, "objective", counting)
+        est, val = self._aligned(7)
+        grid = GridSpec(lambda1_factors=(1e-2, 1e-1), lambda2_values=(0.0, 0.1))
+        out = grid_search(est, val, grid, SolverConfig(trace=True))
+        # One objective per solve, for its result; none per iteration.
+        assert len(calls) == len(out.score_table)
+
     def test_literal_criterion_scoring(self):
         est, val = self._aligned(4)
         grid = GridSpec(lambda1_factors=(1e-4,), lambda2_values=(0.0,))

@@ -164,6 +164,26 @@ class TestSolverMechanics:
         assert merged_pairs([a, b, c]) == [(0, 1)]
 
 
+class TestIdenticalConditions:
+    @pytest.mark.parametrize("variant", ["l2", "l2_squared"])
+    def test_copies_match_single_condition(self, variant):
+        # Identical conditions leave the fusion term at zero, whichever way
+        # the solver carries it.
+        (p,) = random_problems(14, K=1, n=5, M=20)
+        single = solve([p], Hyperparameters(0.0, 0.5)).thetas[0].values
+        result = solve([p] * 4, Hyperparameters(0.8, 0.5, variant))
+        assert result.converged
+        for t in result.thetas:
+            assert np.linalg.norm(t.values - single) <= 1e-9 * (1 + np.linalg.norm(single))
+
+    def test_single_condition_ignores_fusion_weight(self):
+        problems = random_problems(15, K=1, n=5, M=20)
+        a = solve(problems, Hyperparameters(0.0, 0.5))
+        b = solve(problems, Hyperparameters(3.0, 0.5))
+        assert a.iterations == b.iterations
+        np.testing.assert_array_equal(a.thetas[0].values, b.thetas[0].values)
+
+
 def _gram(rng: np.random.Generator, n: int, M: int, rank_deficient: bool) -> np.ndarray:
     """2 Phi^T Phi; a rank-deficient Phi has a duplicated and a zeroed column."""
     Phi = rng.standard_normal((M, n))
