@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -291,7 +292,7 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
                         f"{path}: row {rownum}, column {colname!r}: "
                         f"non-numeric cell {cell!r}"
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise IngestionError(
                         f"{path}: row {rownum}, column {colname!r}: "
                         f"non-finite value {cell!r}"

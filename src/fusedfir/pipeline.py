@@ -247,18 +247,23 @@ class ClusterAssignment:
     inertia: float
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [X[int(rng.integers(X.shape[0]))]]
+def _kmeans_pp_init(
+    X: np.ndarray, k: int, rng: np.random.Generator, sq: np.ndarray
+) -> np.ndarray:
+    """k-means++ seeding; row i of ``sq`` holds the squared distances from
+    X[i] to every row of X."""
+    idx = int(rng.integers(X.shape[0]))
+    chosen = [idx]
     d2 = np.full(X.shape[0], np.inf)
     for _ in range(k - 1):
-        d2 = np.minimum(d2, np.sum((X - centers[-1]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq[idx])
         total = float(d2.sum())
         if total == 0.0:
             idx = int(rng.integers(X.shape[0]))
         else:
             idx = int(rng.choice(X.shape[0], p=d2 / total))
-        centers.append(X[idx])
-    return np.asarray(centers)
+        chosen.append(idx)
+    return X[chosen]
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -268,14 +273,18 @@ def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     for _ in range(_KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        # Empty-cluster repair: hand the point farthest from its centroid over.
-        repaired = False
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(d2[np.arange(X.shape[0]), new_labels]))
-                new_labels[far] = c
-                d2[far, :] = 0.0
-                repaired = True
+        # Empty-cluster repair: hand the point farthest from its centroid
+        # over, in cluster order; a hand-over can empty a later cluster.
+        counts = np.bincount(new_labels, minlength=k)
+        repaired = not counts.all()
+        if repaired:
+            for c in range(k):
+                if counts[c] == 0:
+                    far = int(np.argmax(d2[np.arange(X.shape[0]), new_labels]))
+                    counts[new_labels[far]] -= 1
+                    counts[c] += 1
+                    new_labels[far] = c
+                    d2[far, :] = 0.0
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -313,11 +322,12 @@ def kmeans(
     structure = thetas[0].structure
     X = np.asarray([t.values for t in thetas])
 
+    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
     for _ in range(max(1, restarts)):
-        labels, _, inertia = _lloyd(X, _kmeans_pp_init(X, k, rng))
+        labels, _, inertia = _lloyd(X, _kmeans_pp_init(X, k, rng, sq))
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -328,11 +338,11 @@ def kmeans(
     for l in best_labels:
         if int(l) not in relabel:
             relabel[int(l)] = len(relabel)
-    labels_map = {name: relabel[int(l)] for name, l in zip(names, best_labels)}
-    centroids = []
-    for c in range(k):
-        members = [i for i, name in enumerate(names) if labels_map[name] == c]
-        centroids.append(ParameterVector(X[members].mean(axis=0), structure))
+    category = np.asarray([relabel[int(l)] for l in best_labels])
+    labels_map = dict(zip(names, category.tolist()))
+    centroids = [
+        ParameterVector(X[category == c].mean(axis=0), structure) for c in range(k)
+    ]
     return ClusterAssignment(
         labels=labels_map, centroids=centroids, k=k, inertia=best_inertia
     )
@@ -345,23 +355,29 @@ def _distance_matrix(X: np.ndarray) -> np.ndarray:
     return D
 
 
+def _silhouette(D: np.ndarray, lab: np.ndarray) -> float:
+    """Mean silhouette of labels ``lab`` under distance matrix ``D``."""
+    _, codes = np.unique(lab, return_inverse=True)
+    onehot = codes[:, None] == np.arange(codes.max() + 1)
+    if onehot.shape[1] < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    sums = D @ onehot  # (K, k): summed distance from each point to each cluster
+    sizes = onehot.sum(axis=0)
+    rows = np.arange(len(lab))
+    own_size = sizes[codes] - 1  # D[i, i] = 0 adds nothing to the own sum
+    a = sums[rows, codes] / np.maximum(own_size, 1)
+    means = sums / sizes
+    means[rows, codes] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    s = np.divide(b - a, top, out=np.zeros_like(top), where=(own_size > 0) & (top > 0))
+    return float(np.mean(s))
+
+
 def silhouette_score(thetas: list[ParameterVector], labels: dict[str, int], names: list[str]) -> float:
     """Mean silhouette over points; singleton clusters score zero."""
-    lab = np.asarray([labels[name] for name in names])
     D = _distance_matrix(np.asarray([t.values for t in thetas]))
-    scores = []
-    for i in range(len(names)):
-        own = (lab == lab[i]) & (np.arange(len(names)) != i)
-        if not own.any():
-            scores.append(0.0)
-            continue
-        a = float(D[i, own].mean())
-        b = min(
-            float(D[i, lab == c].mean()) for c in np.unique(lab) if c != lab[i]
-        )
-        top = max(a, b)
-        scores.append((b - a) / top if top > 0 else 0.0)
-    return float(np.mean(scores))
+    return _silhouette(D, np.asarray([labels[name] for name in names]))
 
 
 def auto_select_k(
@@ -376,11 +392,12 @@ def auto_select_k(
         return min(2, K)
     if names is None:
         names = [str(i) for i in range(K)]
+    D = _distance_matrix(np.asarray([t.values for t in thetas]))
     best_k, best_s = 2, -np.inf
     for k in range(2, K):
         sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
         assignment = kmeans(thetas, k, seed=sub_seed, restarts=restarts, names=names)
-        s = silhouette_score(thetas, assignment.labels, names)
+        s = _silhouette(D, np.asarray([assignment.labels[name] for name in names]))
         if s > best_s:
             best_k, best_s = k, s
     return best_k

@@ -304,24 +304,33 @@ def solve_oracle(
     bvec = np.asarray([2.0 * p.Phi.T @ p.Y for p in problems])
     c0 = float(sum(p.Y @ p.Y for p in problems))
     squared = hp.fusion_variant == "l2_squared"
-    iu = np.triu_indices(K, k=1)
+    # Pair rows theta_i - theta_j (i < j) are formed once per step.  Row i of
+    # ``pair_of`` indexes [pair rows; negated pair rows] by the j != i in
+    # ascending order, so each condition sums its fusion terms in j order.
+    ii, jj = np.triu_indices(K, k=1)
+    pid = np.empty((K, K), dtype=np.intp)
+    pid[ii, jj] = np.arange(len(ii))
+    pid[jj, ii] = len(ii) + np.arange(len(ii))
+    pair_of = pid[~np.eye(K, dtype=bool)].reshape(K, K - 1)
 
     def value_and_smooth_grad(th: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective value and the smooth+fusion subgradient (l1 excluded)."""
         Gth = np.einsum("kij,kj->ki", G, th)
-        f = c0 - float(np.sum(bvec * th)) + 0.5 * float(np.sum(th * Gth))
+        f = c0 - float((bvec * th).sum()) + 0.5 * float((th * Gth).sum())
         g = Gth - bvec
         if K >= 2 and hp.lambda1 > 0.0:
-            diffs = th[:, None, :] - th[None, :, :]
+            diffs = th[ii] - th[jj]
             if squared:
-                f += hp.lambda1 * float((diffs[iu] ** 2).sum())
-                g += 2.0 * hp.lambda1 * diffs.sum(axis=1)
+                f += hp.lambda1 * float((diffs ** 2).sum())
+                terms = diffs
+                weight = 2.0 * hp.lambda1
             else:
-                norms = np.linalg.norm(diffs, axis=2)
-                f += hp.lambda1 * float(norms[iu].sum())
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    inv = np.where(norms > 1e-300, 1.0 / np.maximum(norms, 1e-300), 0.0)
-                g += hp.lambda1 * (diffs * inv[:, :, None]).sum(axis=1)
+                norms = np.sqrt((diffs * diffs).sum(axis=1))
+                f += hp.lambda1 * float(norms.sum())
+                inv = np.where(norms > 1e-300, 1.0 / np.maximum(norms, 1e-300), 0.0)
+                terms = diffs * inv[:, None]
+                weight = hp.lambda1
+            g += weight * np.concatenate([terms, -terms])[pair_of].sum(axis=1)
         f += hp.lambda2 * float(np.abs(th).sum())
         return f, g
 
@@ -377,7 +386,7 @@ def solve_oracle(
         c_stage = c * scale
         theta = best_theta.copy()
         for t in range(1, steps + 1):
-            eta = c_stage / np.sqrt(t)
+            eta = c_stage / math.sqrt(t)
             f, g = value_and_smooth_grad(theta)
             if hp.lambda2 > 0.0:
                 sub = g + hp.lambda2 * np.sign(theta)
@@ -385,7 +394,7 @@ def solve_oracle(
                 # (within one step's pull of zero); the iterate itself is
                 # left untouched so escaping coordinates can accumulate.
                 at_kink = np.abs(theta) <= eta * hp.lambda2
-                shrunk = np.sign(g) * np.maximum(np.abs(g) - hp.lambda2, 0.0)
+                shrunk = np.copysign(np.maximum(np.abs(g) - hp.lambda2, 0.0), g)
                 sub = np.where(at_kink, shrunk, sub)
             else:
                 sub = g

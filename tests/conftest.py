@@ -2,8 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fusedfir import ModelStructure, RegressionProblem
+
+# Property tests draw the same examples on every run, so the suite stays
+# reproducible; no example database is written.
+settings.register_profile(
+    "fusedfir", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("fusedfir")
 
 
 def random_problems(

@@ -214,6 +214,12 @@ class TestRun:
         argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
         assert main(argv) == 4
 
+    def test_no_grid_point_converges_exit_4(self, synth_dir, tmp_path, capsys):
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"),
+                "--max-iter", "1", *RUN_ARGS]
+        assert main(argv) == 4
+        assert "no grid point converged" in capsys.readouterr().err
+
     def test_duplicate_evaluation_name_exit_2(self, synth_dir, tmp_path):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
         for source in ("BR30-2", "BR40-2"):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fusedfir import (
     ConditionDataset,
@@ -58,6 +59,34 @@ class TestLoadDataset:
         p = write(tmp_path, "t,s1,y\n1,0.5,10\n2,nan,20\n")
         with pytest.raises(IngestionError, match=r"row 3.*s1"):
             load_dataset(p, entry())
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_cell(self, tmp_path, cell):
+        p = write(tmp_path, f"t,s1,y\n1,0.5,10\n2,{cell},20\n")
+        with pytest.raises(IngestionError, match=rf"row 3, column 's1': non-finite value '{cell}'"):
+            load_dataset(p, entry())
+
+    @given(
+        values=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_crlf_copy_loads_identical_arrays(self, tmp_path_factory, values):
+        tmp = tmp_path_factory.mktemp("crlf")
+        text = "t,s1,y\n" + "".join(
+            f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(values, start=1)
+        )
+        lf = load_dataset(write(tmp, text, "lf.csv"), entry())
+        crlf_path = tmp / "crlf.csv"
+        crlf_path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        crlf = load_dataset(crlf_path, entry())
+        assert crlf.inputs.tobytes() == lf.inputs.tobytes()
+        assert crlf.output.tobytes() == lf.output.tobytes()
 
     def test_non_numeric_cell(self, tmp_path):
         p = write(tmp_path, "t,s1,y\n1,0.5,10\n2,abc,20\n")

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fusedfir import ModelStructure, RegressionProblem, ls_fit, pooled_ls_fit
-from fusedfir.estimation import stack_problems
+from fusedfir.estimation import _gram_diagnostics, stack_problems
 
 from conftest import random_problems
 
@@ -67,6 +68,42 @@ class TestLsFit:
         object.__setattr__(bad, "condition_name", "bad")
         with pytest.raises(ValueError, match="non-finite"):
             ls_fit(bad)
+
+
+class TestSolvePaths:
+    """``ls_fit`` solves the Gram system when it is well conditioned and
+    falls back to ``lstsq`` (SVD) otherwise."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 15),
+        extra_rows=st.integers(0, 60),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_gram_path_agrees_with_lstsq(self, seed, n, extra_rows, scale):
+        rng = np.random.default_rng(seed)
+        Phi = scale * rng.standard_normal((4 * n + extra_rows, n))
+        Y = Phi @ rng.standard_normal(n) + rng.standard_normal(Phi.shape[0])
+        assert _gram_diagnostics(Phi.T @ Phi)[2]  # the Gram path is taken
+        theta = ls_fit(problem(Phi, Y)).theta.values
+        ref = np.linalg.lstsq(Phi, Y, rcond=None)[0]
+        assert np.linalg.norm(theta - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+    def test_nearly_collinear_takes_lstsq_path(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(200)
+        Phi = np.column_stack(
+            [x, x + 9e-3 * rng.standard_normal(200), rng.standard_normal((200, 3))]
+        )
+        Y = Phi @ np.array([1.0, -1.0, 0.5, 0.0, 2.0]) + 0.1 * rng.standard_normal(200)
+        eigs = np.linalg.eigvalsh(Phi.T @ Phi)
+        assert 3e4 < eigs[-1] / eigs[0] < 8e4
+        fit = ls_fit(problem(Phi, Y))
+        assert fit.gram_positive_definite
+        assert not _gram_diagnostics(Phi.T @ Phi)[2]
+        np.testing.assert_array_equal(
+            fit.theta.values, np.linalg.lstsq(Phi, Y, rcond=None)[0]
+        )
 
 
 class TestPooled:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fusedfir import (
     GridSpec,
@@ -24,11 +26,13 @@ from fusedfir import (
     run_pipeline,
 )
 from fusedfir.data import ManifestEntry, write_dataset_csv
+import fusedfir.pipeline
 from fusedfir.pipeline import (
     ScoreRow,
     _better_row,
     _distance_matrix,
     _kmeans_pp_init,
+    _lloyd,
     auto_select_k,
     silhouette_score,
 )
@@ -150,11 +154,122 @@ class TestKmeans:
                 centers.append(X[idx])
             return np.asarray(centers)
 
+        sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         for seed in range(5):
             np.testing.assert_array_equal(
-                _kmeans_pp_init(X, k, np.random.default_rng(seed)),
+                _kmeans_pp_init(X, k, np.random.default_rng(seed), sq),
                 stacked_init(np.random.default_rng(seed)),
             )
+
+
+def loop_silhouette(D, lab):
+    """Per-point silhouette loop, the reference for the vectorised form."""
+    scores = []
+    for i in range(len(lab)):
+        own = (lab == lab[i]) & (np.arange(len(lab)) != i)
+        if not own.any():
+            scores.append(0.0)
+            continue
+        a = float(D[i, own].mean())
+        b = min(float(D[i, lab == c].mean()) for c in np.unique(lab) if c != lab[i])
+        top = max(a, b)
+        scores.append((b - a) / top if top > 0 else 0.0)
+    return float(np.mean(scores))
+
+
+def loop_lloyd(X, centers, max_iter=300):
+    """Lloyd iterations with the per-cluster empty check, the reference for
+    the bincount repair."""
+    k = centers.shape[0]
+    labels = np.full(X.shape[0], -1)
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(d2[np.arange(X.shape[0]), new_labels]))
+                new_labels[far] = c
+                d2[far, :] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centers = np.asarray([X[labels == c].mean(axis=0) for c in range(k)])
+    return labels, centers, float(((X - centers[labels]) ** 2).sum())
+
+
+@st.composite
+def grid_points(draw, max_points=12):
+    """Points on a small integer grid, so distances tie and points repeat."""
+    m = draw(st.integers(2, max_points))
+    d = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(-2, 2), min_size=m * d, max_size=m * d))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return scale * np.asarray(coords, dtype=float).reshape(m, d)
+
+
+class TestVectorisedClustering:
+    @given(data=st.data())
+    def test_silhouette_matches_loop(self, data):
+        X = data.draw(grid_points())
+        m = X.shape[0]
+        labels = data.draw(
+            st.lists(st.integers(0, m - 1), min_size=m, max_size=m).filter(
+                lambda l: len(set(l)) >= 2
+            )
+        )
+        names = [f"P{i}" for i in range(m)]
+        got = silhouette_score([vec(x) for x in X], dict(zip(names, labels)), names)
+        want = loop_silhouette(_distance_matrix(X), np.asarray(labels))
+        assert abs(got - want) <= 1e-12
+
+    @given(data=st.data())
+    def test_lloyd_repair_matches_loop(self, data):
+        X = data.draw(grid_points())
+        k = data.draw(st.integers(1, X.shape[0]))
+        picks = data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=k, max_size=k))
+        far = data.draw(st.lists(st.sampled_from([0.0, 50.0]), min_size=k, max_size=k))
+        centers = X[picks] + np.asarray(far)[:, None]
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _lloyd(X, centers.copy())
+            want = loop_lloyd(X, centers.copy())
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2] or (np.isnan(got[2]) and np.isnan(want[2]))
+
+    @pytest.mark.parametrize(
+        "X,centers,first",
+        [
+            # The centre at 100 attracts no point; the point farthest from
+            # its centre (x = 10) is handed to it.
+            ([[0.0], [1.0], [10.0]], [[0.0], [1.0], [100.0]], [0, 1, 2]),
+            # Cluster 1 takes the only member of cluster 2, which is then
+            # repaired in turn.
+            ([[0.0], [0.0], [5.0]], [[0.0], [100.0], [4.0]], [2, 0, 1]),
+        ],
+    )
+    def test_lloyd_repair_fills_emptied_cluster(self, X, centers, first):
+        X, centers = np.asarray(X), np.asarray(centers)
+        got = _lloyd(X, centers.copy())
+        want = loop_lloyd(X, centers.copy())
+        np.testing.assert_array_equal(loop_lloyd(X, centers.copy(), max_iter=1)[0], first)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_auto_select_k_builds_one_distance_matrix(self, monkeypatch):
+        calls = []
+        real = fusedfir.pipeline._distance_matrix
+
+        def counting(X):
+            calls.append(1)
+            return real(X)
+
+        monkeypatch.setattr(fusedfir.pipeline, "_distance_matrix", counting)
+        rng = np.random.default_rng(8)
+        thetas = [vec(rng.standard_normal(2) * 0.05 + 10.0 * g) for g in range(3) for _ in range(3)]
+        assert auto_select_k(thetas, seed=0) == 3
+        assert len(calls) == 1
 
 
 class TestGridSearch:
