@@ -263,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     p.add_argument("--lambda1-factors", type=_float_tuple, default=None)
     p.add_argument("--lambda2-values", type=_float_tuple, default=None)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument(
+        "--rho", type=float, default=1.0,
+        help="starting ADMM penalty; each solve adapts it by residual balancing",
+    )
     p.add_argument("--eps-abs", type=float, default=1e-8)
     p.add_argument("--eps-rel", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=50_000)

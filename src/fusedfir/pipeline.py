@@ -8,6 +8,7 @@ held-out data with the FIT percentage.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -258,10 +259,16 @@ def _kmeans_pp_init(
     for _ in range(k - 1):
         d2 = np.minimum(d2, sq[idx])
         total = float(d2.sum())
+        if not math.isfinite(total):
+            raise ValueError("k-means++ weights must be finite")
         if total == 0.0:
             idx = int(rng.integers(X.shape[0]))
         else:
-            idx = int(rng.choice(X.shape[0], p=d2 / total))
+            # Generator.choice(p=d2 / total)'s own draw, without its checks:
+            # the same index from the same single random() call.
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
     return X[chosen]
 

@@ -12,6 +12,18 @@ coupling is a rank-n_theta correction of the per-condition systems, so
 explicit inverses, rebuilt with scipy only when rho changes, give the
 joint minimizer each iteration in a few batched products.
 
+The penalty rho starts at ``SolverConfig.rho`` and adapts by residual
+balancing on relative residuals (Wohlberg 2017), on the schedule OSQP uses
+(Stellato et al. 2020): every ``RHO_ADAPT_EVERY`` iterations, with
+r_rel = r / max(||theta||, ||z||) and s_rel = s / (rho ||A^T y||), the
+scales of the stopping thresholds, rho is multiplied by
+sqrt(r_rel / s_rel) clipped to [``RHO_FACTOR_MIN``, ``RHO_FACTOR_MAX``]
+whenever that ratio leaves [1/``RHO_BAND``, ``RHO_BAND``].  Both relative
+residuals are unchanged when the data and both weights are scaled together
+or when conditions are duplicated, so neither moves the schedule.  After
+``RHO_MAX_CHANGES`` changes rho stays fixed, which keeps ADMM's
+convergence guarantee.  The stopping test is checked on every iteration.
+
 ``solve_oracle`` is a deliberately independent slow check: plain
 subgradient descent with diminishing steps and best-iterate tracking,
 sharing only objective evaluation with the fast path.
@@ -40,6 +52,13 @@ from .data import ParameterVector, RegressionProblem
 # Conditions k, i are reported as merged when ||theta_k - theta_i|| falls
 # below this factor times (1 + max_k ||theta_k||).
 MERGE_REL_TOL = 1e-5
+
+# Residual-balancing rho policy (module docstring).
+RHO_ADAPT_EVERY = 10
+RHO_BAND = 2.0
+RHO_FACTOR_MIN = 1e-2
+RHO_FACTOR_MAX = 1e2
+RHO_MAX_CHANGES = 20
 
 
 class SolverNumericalError(RuntimeError):
@@ -72,6 +91,8 @@ class SolveResult:
     primal_residual: float
     dual_residual: float
     trace: list[tuple[int, float, float, float]] | None = None
+    rho: float = math.nan  # final penalty; nan for the oracle, which has none
+    rho_changes: int = 0
 
 
 def max_pairwise_distance(thetas: list[ParameterVector]) -> float:
@@ -123,14 +144,31 @@ class _ThetaStep:
         self._Minv = np.asarray([cho_solve(cho_factor(Gk + m_diag * eye), eye) for Gk in G])
         self._capinv = None
         if corr > 0.0:
-            # Capacity matrix of the rank-n coupling; PD because A is PD.
-            self._capinv = cho_solve(cho_factor(eye / corr - self._Minv.sum(axis=0)), eye)
+            # Inverse of the capacity matrix I/corr - S of the rank-n coupling
+            # (PD because H is), as corr (I - corr S)^-1, so that a tiny corr
+            # cannot overflow.
+            cap = eye - corr * self._Minv.sum(axis=0)
+            self._capinv = corr * cho_solve(cho_factor(cap), eye)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         part = np.einsum("kij,kj->ki", self._Minv, rhs)
         if self._capinv is None:
             return part
         return part + self._Minv @ (self._capinv @ part.sum(axis=0))
+
+
+def _rho_factor(num: float, den: float) -> float:
+    """Residual-balancing factor for rho, given r_rel / s_rel = num / den.
+
+    The ratio comes cross-multiplied so that zero scales need no division:
+    1.0 (no change) inside the band and when num and den are both zero,
+    the upper clip when only s_rel is zero, the lower one when only r_rel is.
+    """
+    if num > RHO_BAND * den:
+        return RHO_FACTOR_MAX if den == 0.0 else min(math.sqrt(num / den), RHO_FACTOR_MAX)
+    if den > RHO_BAND * num:
+        return RHO_FACTOR_MIN if num == 0.0 else max(math.sqrt(num / den), RHO_FACTOR_MIN)
+    return 1.0
 
 
 def _check_problems(problems: list[RegressionProblem]) -> None:
@@ -186,7 +224,7 @@ def solve(
         return _ThetaStep(G, c * K + rho_val, c)
 
     rho = cfg.rho
-    rescales = 0
+    rho_changes = 0
     step = make_step(rho)
     z = np.zeros((P + K, n))
     y = np.zeros_like(z)
@@ -216,8 +254,10 @@ def solve(
 
         r_norm = _norm(Ath - z)
         s_norm = rho * _norm(At(z - z_old))
-        eps_pri = cfg.eps_abs * np.sqrt(z.size) + cfg.eps_rel * max(_norm(theta), _norm(z))
-        eps_dual = cfg.eps_abs * np.sqrt(theta.size) + cfg.eps_rel * rho * _norm(At(y))
+        scale_pri = max(_norm(theta), _norm(z))
+        scale_dual = rho * _norm(At(y))
+        eps_pri = cfg.eps_abs * np.sqrt(z.size) + cfg.eps_rel * scale_pri
+        eps_dual = cfg.eps_abs * np.sqrt(theta.size) + cfg.eps_rel * scale_dual
 
         if trace is not None:
             obj_now = objective(
@@ -229,12 +269,14 @@ def solve(
             converged = True
             break
 
-        if rescales < 10 and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
-            factor = 2.0 if r_norm > s_norm else 0.5
-            rho *= factor
-            y /= factor
-            step = make_step(rho)
-            rescales += 1
+        if it % RHO_ADAPT_EVERY == 0 and rho_changes < RHO_MAX_CHANGES:
+            # r_rel / s_rel = (r / scale_pri) / (s / scale_dual)
+            factor = _rho_factor(r_norm * scale_dual, s_norm * scale_pri)
+            if factor != 1.0:
+                rho *= factor
+                y /= factor
+                step = make_step(rho)
+                rho_changes += 1
 
     thetas = [ParameterVector(theta[k], structure) for k in range(K)]
     return SolveResult(
@@ -245,6 +287,8 @@ def solve(
         primal_residual=r_norm,
         dual_residual=s_norm,
         trace=trace,
+        rho=rho,
+        rho_changes=rho_changes,
     )
 
 

@@ -388,3 +388,26 @@ def test_criterion_9_deterministic_report(pipeline_run):
     )
     identical = rep.to_json() == again.to_json()
     report(9, "rerun with the same seed is byte-identical", identical)
+
+
+# Grid iterations on the criterion-8 scenario under the earlier rho rule,
+# which doubled or halved rho when the raw residuals differed by 10x, at
+# most 10 times per solve.  Iteration counts do not depend on the machine.
+RAW_RESIDUAL_RULE_GRID_ITERATIONS = 27_823
+
+
+def test_grid_iterations_at_most_half_the_raw_residual_rule(pipeline_run):
+    _, _, rep, _ = pipeline_run
+    assert all(row.converged for row in rep.score_table)
+    total = sum(row.iterations for row in rep.score_table)
+    assert total <= RAW_RESIDUAL_RULE_GRID_ITERATIONS // 2, f"{total} grid iterations"
+
+
+def test_rho_stats_stay_out_of_report(pipeline_run):
+    # report.json must stay byte-identical on reruns, so per-solve stats
+    # live on the SolveResult only.
+    _, _, rep, _ = pipeline_run
+    assert rep.solve_result.rho_changes <= ff.solver.RHO_MAX_CHANGES
+    assert rep.solve_result.rho > 0
+    solve_section = json.loads(rep.to_json())["solve"]
+    assert not {"rho", "rho_changes"} & set(solve_section)

@@ -257,6 +257,41 @@ class TestVectorisedClustering:
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]
 
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_kmeans_pp_draw_matches_generator_choice(self, data, seed):
+        # Repeated and already chosen points give zero weights.
+        X = data.draw(grid_points())
+        k = data.draw(st.integers(2, X.shape[0]))
+        sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+
+        def choice_init(rng):
+            idx = int(rng.integers(X.shape[0]))
+            chosen = [idx]
+            d2 = np.full(X.shape[0], np.inf)
+            for _ in range(k - 1):
+                d2 = np.minimum(d2, sq[idx])
+                total = float(d2.sum())
+                if total == 0.0:
+                    idx = int(rng.integers(X.shape[0]))
+                else:
+                    idx = int(rng.choice(X.shape[0], p=d2 / total))
+                chosen.append(idx)
+            return X[chosen]
+
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            _kmeans_pp_init(X, k, got_rng, sq), choice_init(want_rng)
+        )
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_pp_rejects_non_finite_weights(self, seed):
+        X = np.asarray([[0.0], [np.inf], [1.0]])
+        with np.errstate(invalid="ignore"):
+            sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        with pytest.raises(ValueError, match="finite"):
+            _kmeans_pp_init(X, 2, np.random.default_rng(seed), sq)
+
     def test_auto_select_k_builds_one_distance_matrix(self, monkeypatch):
         calls = []
         real = fusedfir.pipeline._distance_matrix

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fusedfir import (
     Hyperparameters,
@@ -10,6 +13,8 @@ from fusedfir import (
     RegressionProblem,
     SolverConfig,
     is_coalesced,
+    lambda1_max,
+    lambda2_max,
     ls_fit,
     max_pairwise_distance,
     merged_pairs,
@@ -18,7 +23,14 @@ from fusedfir import (
     solve,
     solve_oracle,
 )
-from fusedfir.solver import _ThetaStep
+from fusedfir.solver import (
+    RHO_ADAPT_EVERY,
+    RHO_FACTOR_MAX,
+    RHO_FACTOR_MIN,
+    RHO_MAX_CHANGES,
+    _rho_factor,
+    _ThetaStep,
+)
 
 from conftest import random_problems, scalar_pair
 
@@ -85,8 +97,6 @@ class TestInvariants:
     def test_never_beaten_by_feasible_candidates(self):
         for seed in range(4):
             problems = random_problems(seed + 20, K=3, n=6, M=25)
-            from fusedfir import lambda1_max, lambda2_max
-
             hp = Hyperparameters(
                 0.4 * lambda1_max(problems), 0.2 * lambda2_max(problems)
             )
@@ -153,6 +163,15 @@ class TestSolverMechanics:
         result = solve(problems, Hyperparameters(0.0, 0.5))
         assert result.converged
 
+    def test_subnormal_squared_fusion_weight(self):
+        # The capacity inverse must not overflow when 1 / (2 lambda1) does.
+        problems = random_problems(16, K=2, n=4, M=12)
+        tiny = solve(problems, Hyperparameters(1e-310, 0.5, "l2_squared"))
+        plain = solve(problems, Hyperparameters(0.0, 0.5, "l2_squared"))
+        assert tiny.converged
+        for a, b in zip(tiny.thetas, plain.thetas):
+            np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
+
     def test_coalescence_helpers(self):
         s = ModelStructure(taps=2, channels=1)
         a = ParameterVector(np.array([1.0, 2.0]), s)
@@ -182,6 +201,96 @@ class TestIdenticalConditions:
         b = solve(problems, Hyperparameters(3.0, 0.5))
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.thetas[0].values, b.thetas[0].values)
+
+
+def random_instance(seed, K, variant, fractions):
+    """Small random problems with weights at the given fractions of their
+    bounds (no fusion weight for a single condition)."""
+    problems = random_problems(seed, K=K, n=4, M=12)
+    l1 = fractions[0] * lambda1_max(problems) if K >= 2 else 0.0
+    return problems, Hyperparameters(l1, fractions[1] * lambda2_max(problems), variant)
+
+
+instances = dict(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 4),
+    variant=st.sampled_from(["l2", "l2_squared"]),
+    fractions=st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.2)),
+)
+
+
+class TestRhoPolicy:
+    @pytest.mark.parametrize(
+        "num,den,factor",
+        [
+            (0.0, 0.0, 1.0),  # r = s = 0, or every scale zero
+            (1.0, 0.0, RHO_FACTOR_MAX),  # only s_rel is zero
+            (0.0, 1.0, RHO_FACTOR_MIN),  # only r_rel is zero
+            (1.0, 1.0, 1.0),
+            (2.0, 1.0, 1.0),  # the band is closed
+            (1.0, 2.0, 1.0),
+            (9.0, 1.0, 3.0),
+            (1.0, 9.0, 1.0 / 3.0),
+            (1e6, 1.0, RHO_FACTOR_MAX),
+            (1.0, 1e6, RHO_FACTOR_MIN),
+        ],
+    )
+    def test_factor(self, num, den, factor):
+        assert _rho_factor(num, den) == pytest.approx(factor, rel=1e-15)
+
+    @given(rho=st.sampled_from([1e-6, 1.0, 1e6]), **instances)
+    def test_changes_capped(self, seed, K, variant, fractions, rho):
+        problems, hp = random_instance(seed, K, variant, fractions)
+        result = solve(problems, hp, SolverConfig(rho=rho, max_iter=2000))
+        assert 0 <= result.rho_changes <= RHO_MAX_CHANGES
+        if result.rho_changes == 0:
+            assert result.rho == rho
+
+    @pytest.mark.parametrize("rho,factor", [(1e-60, RHO_FACTOR_MAX), (1e60, RHO_FACTOR_MIN)])
+    def test_far_start_clips_each_change_until_the_cap(self, rho, factor):
+        # So far from balance that every check wants more than the clip,
+        # and twenty clipped changes still leave rho far out.
+        problems = random_problems(5, K=3, n=4, M=20)
+        hp = Hyperparameters(0.5 * lambda1_max(problems), 0.1 * lambda2_max(problems))
+        result = solve(problems, hp, SolverConfig(rho=rho, max_iter=400))
+        assert result.rho_changes == RHO_MAX_CHANGES
+        assert result.rho == pytest.approx(rho * factor**RHO_MAX_CHANGES, rel=1e-12)
+
+    def test_balanced_residuals_keep_rho(self):
+        problems = random_problems(5, K=3, n=4, M=20)
+        hp = Hyperparameters(0.5 * lambda1_max(problems), 0.1 * lambda2_max(problems))
+        first = solve(problems, hp)
+        assert first.converged and first.rho_changes > 0
+        # Restarted at the rho the first solve settled on, the residuals
+        # stay inside the band at every check.
+        again = solve(problems, hp, SolverConfig(rho=first.rho))
+        assert again.converged
+        assert again.iterations > 2 * RHO_ADAPT_EVERY
+        assert again.rho_changes == 0
+        assert again.rho == first.rho
+
+
+class TestScaleEquivariance:
+    """Scaling Y by c scales theta by c when the weights follow: lambda2
+    and the Euclidean fusion weight scale with c, the squared-fusion weight
+    does not (its penalty is quadratic like the fit).  The absolute
+    tolerance is given in the data's units, so both solves stop by the same
+    relative test."""
+
+    @given(c=st.sampled_from([1e-3, 1e3]), **instances)
+    def test_scaled_data_scales_theta(self, seed, K, variant, fractions, c):
+        problems, hp = random_instance(seed, K, variant, fractions)
+        base = solve(problems, hp)
+        l1 = hp.lambda1 * c if variant == "l2" else hp.lambda1
+        scaled = solve(
+            [replace(p, Y=c * p.Y) for p in problems],
+            Hyperparameters(l1, c * hp.lambda2, variant),
+            SolverConfig(eps_abs=c * SolverConfig().eps_abs),
+        )
+        assert base.converged and scaled.converged
+        theta = np.asarray([t.values for t in base.thetas])
+        theta_c = np.asarray([t.values for t in scaled.thetas])
+        assert np.linalg.norm(theta_c / c - theta) <= 1e-6 * (1.0 + np.linalg.norm(theta))
 
 
 def _gram(rng: np.random.Generator, n: int, M: int, rank_deficient: bool) -> np.ndarray:
@@ -256,8 +365,6 @@ class TestOracle:
         assert gap <= 1e-5
 
     def test_kinked_instance_agreement(self):
-        from fusedfir import lambda1_max, lambda2_max
-
         problems = random_problems(17, K=3, n=6, M=30)
         hp = Hyperparameters(
             0.5 * lambda1_max(problems), 0.5 * lambda2_max(problems)
