@@ -9,8 +9,8 @@ block z and one scaled dual y hold both penalties: the block-l2 prox acts
 on the pair rows and the l1 prox on the condition rows.  The theta step
 solves its coupled positive-definite system exactly: the complete-graph
 coupling is a rank-n_theta correction of the per-condition systems, so
-explicit inverses, rebuilt with scipy only when rho changes, give the
-joint minimizer each iteration in a few batched products.
+explicit inverses, rebuilt in numpy only when rho changes, give the joint
+minimizer each iteration in a few batched products.
 
 The penalty rho starts at ``SolverConfig.rho`` and adapts by residual
 balancing on relative residuals (Wohlberg 2017), on the schedule OSQP uses
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .criterion import (
     Hyperparameters,
@@ -128,6 +127,24 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.einsum("ij,ij->", x, x))
 
 
+# cho_factor and cho_solve keep scipy.linalg's names and call shapes: the
+# benchmark in perfbench/ counts calls to both by name (README, "Benchmark
+# contract").
+def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of a PD matrix or (K, n, n) stack, flagged lower.
+
+    Raises ``np.linalg.LinAlgError`` when a matrix is not positive definite.
+    """
+    return np.linalg.cholesky(a), True
+
+
+def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """Solve M x = b given ``cho_factor(M)``, as L^-T (L^-1 b), batched."""
+    L, _lower = factor
+    Linv = np.linalg.inv(L)
+    return np.swapaxes(Linv, -1, -2) @ (Linv @ b)
+
+
 class _ThetaStep:
     """Exact solver for H theta = rhs with H = blockdiag(M_k) - corr * B B^T.
 
@@ -136,12 +153,12 @@ class _ThetaStep:
     Hessian of every fusion variant: diagonal blocks G_k + (c (K - 1) + rho) I
     and off-diagonal blocks -c I.  It holds M_k^-1 as a (K, n, n) stack and,
     if corr > 0, the inverse of the capacity matrix I/corr - sum_k M_k^-1,
-    so a solve (Woodbury identity) makes no scipy call.
+    both built by Cholesky, so a solve (Woodbury identity) is a few products.
     """
 
     def __init__(self, G: np.ndarray, m_diag: float, corr: float):
         eye = np.eye(G.shape[1])
-        self._Minv = np.asarray([cho_solve(cho_factor(Gk + m_diag * eye), eye) for Gk in G])
+        self._Minv = cho_solve(cho_factor(G + m_diag * eye), eye)
         self._capinv = None
         if corr > 0.0:
             # Inverse of the capacity matrix I/corr - S of the rank-n coupling

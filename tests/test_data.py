@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +22,10 @@ from fusedfir import (
     load_dataset,
     load_manifest,
 )
+from fusedfir.cli import main
 from fusedfir.data import parse_dataset_name, write_dataset_csv
+
+from test_cli import RUN_ARGS, write_scenario
 
 
 def entry(name="BR30-1", file="d.csv", channels=("s1",), output="y", role="estimation"):
@@ -87,6 +91,24 @@ class TestLoadDataset:
         crlf = load_dataset(crlf_path, entry())
         assert crlf.inputs.tobytes() == lf.inputs.tobytes()
         assert crlf.output.tobytes() == lf.output.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_line_endings_give_identical_regressors(self, tmp_path_factory, seed):
+        # csv.writer ends rows with CRLF.  LF, CRLF and bare-CR copies of the
+        # written file must all give the Phi and Y of the dataset itself.
+        tmp = tmp_path_factory.mktemp("endings")
+        ds = generate_synthetic(two_group_scenario(seed=seed, samples=12))[0]
+        structure = ModelStructure(taps=3, channels=ds.n_channels)
+        want = build_regressor(ds, structure)
+        path = tmp / "d.csv"
+        write_dataset_csv(ds, path)
+        e = entry(channels=ds.channel_names)
+        text = path.read_bytes().replace(b"\r\n", b"\n")
+        for ending in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(text.replace(b"\n", ending))
+            got = build_regressor(load_dataset(path, e), structure)
+            assert got.Phi.tobytes() == want.Phi.tobytes()
+            assert got.Y.tobytes() == want.Y.tobytes()
 
     def test_non_numeric_cell(self, tmp_path):
         p = write(tmp_path, "t,s1,y\n1,0.5,10\n2,abc,20\n")
@@ -298,6 +320,35 @@ class TestSynthetic:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_run_leaves_scipy_unloaded(self, tmp_path):
+        # The run path needs numpy only: importing scipy would add about
+        # 0.3 s and 28 MB to every run.
+        data = tmp_path / "data"
+        assert main(["synth", str(write_scenario(tmp_path)), "--out", str(data)]) == 0
+        code = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import fusedfir, fusedfir.cli\n"
+            "after_import = scipy_modules()\n"
+            "rc = fusedfir.cli.main(sys.argv[1:])\n"
+            "print(json.dumps({'rc': rc, 'after_import': after_import,\n"
+            "                  'after_run': scipy_modules()}))\n"
+        )
+        argv = ["run", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run"),
+                *RUN_ARGS]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"rc": 0, "after_import": [], "after_run": []}
 
     def test_dataset_count_and_names(self):
         datasets = generate_synthetic(two_group_scenario())

@@ -30,6 +30,8 @@ from fusedfir.solver import (
     RHO_MAX_CHANGES,
     _rho_factor,
     _ThetaStep,
+    cho_factor,
+    cho_solve,
 )
 
 from conftest import random_problems, scalar_pair
@@ -331,6 +333,43 @@ class TestThetaStep:
         # Relative to the solution's norm: entries near zero carry the
         # dense solve's own rounding.
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _spd(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """Random symmetric positive-definite matrices of the given stack shape."""
+    A = rng.standard_normal((*shape, n + 3, n))
+    return np.swapaxes(A, -1, -2) @ A + 0.1 * np.eye(n)
+
+
+class TestCholeskyHelpers:
+    """The solver's numpy ``cho_factor``/``cho_solve`` against scipy's, on
+    single matrices and on the (K, n, n) stacks the theta step inverts."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (6,), (48,)])
+    @pytest.mark.parametrize("n", [1, 6, 15])
+    def test_inverse_matches_scipy(self, shape, n):
+        from scipy.linalg import cho_factor as sp_factor, cho_solve as sp_solve
+
+        M = _spd(np.random.default_rng(n + len(shape)), shape, n)
+        eye = np.eye(n)
+        got = cho_solve(cho_factor(M), eye)
+        assert got.shape == M.shape
+        for got_k, M_k in zip(got.reshape(-1, n, n), M.reshape(-1, n, n)):
+            expected = sp_solve(sp_factor(M_k), eye)
+            assert np.linalg.norm(got_k - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_stack_equals_per_matrix(self):
+        M = _spd(np.random.default_rng(3), (48,), 15)
+        eye = np.eye(15)
+        per_matrix = np.asarray([cho_solve(cho_factor(M_k), eye) for M_k in M])
+        np.testing.assert_array_equal(cho_solve(cho_factor(M), eye), per_matrix)
+
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_indefinite_raises(self, shape):
+        M = _spd(np.random.default_rng(4), shape, 5)
+        M.reshape(-1, 5, 5)[-1, 2, 2] = -1.0  # the last stacked matrix, or the only one
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(M)
 
 
 class TestOracle:
