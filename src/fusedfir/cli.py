@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -162,7 +161,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         fusion_variant=variant,
         literal_criterion=args.literal_criterion,
         auto_k=args.auto_k,
-        threads=args.threads,
     )
 
     out = Path(args.out)
@@ -251,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="cluster count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count(),
-        help="workers for the parallel grid search (default: all cores)",
-    )
     p.add_argument("--literal-criterion", action="store_true")
     p.add_argument("--fusion-variant", choices=("l2", "l2-squared"), default="l2")
     p.add_argument("--auto-k", action="store_true")
@@ -270,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-abs", type=float, default=1e-8)
     p.add_argument("--eps-rel", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=50_000)
-    p.set_defaults(func=cmd_run)
+    # The grid search is serial; perfbench's environment probe reads this.
+    p.set_defaults(func=cmd_run, threads=1)
 
     p = sub.add_parser("eval", help="cross-evaluate stored models")
     p.add_argument("--manifest", required=True)

@@ -218,23 +218,29 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
         raise IngestionError(f"manifest {path} must be a non-empty JSON array")
     entries = []
     for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise IngestionError(f"manifest entry {i} must be a JSON object, got {item!r}")
         try:
-            role = item["role"]
-            if role not in VALID_ROLES:
-                raise IngestionError(
-                    f"manifest entry {i}: role {role!r} not in {VALID_ROLES}"
-                )
-            entries.append(
-                ManifestEntry(
-                    name=item["name"],
-                    file=item["file"],
-                    role=role,
-                    channels=tuple(item["channels"]),
-                    output=item["output"],
-                )
-            )
+            fields = {f: item[f] for f in ("name", "file", "role", "output")}
+            channels = item["channels"]
         except KeyError as exc:
             raise IngestionError(f"manifest entry {i} is missing field {exc}") from exc
+        for field, value in fields.items():
+            if not isinstance(value, str):
+                raise IngestionError(
+                    f"manifest entry {i}: {field} must be a string, got {value!r}"
+                )
+        if fields["role"] not in VALID_ROLES:
+            raise IngestionError(
+                f"manifest entry {i}: role {fields['role']!r} not in {VALID_ROLES}"
+            )
+        if not (isinstance(channels, list) and channels
+                and all(isinstance(c, str) for c in channels)):
+            raise IngestionError(
+                f"manifest entry {i}: channels must be a non-empty list of strings, "
+                f"got {channels!r}"
+            )
+        entries.append(ManifestEntry(**fields, channels=tuple(channels)))
     return entries
 
 

@@ -9,7 +9,6 @@ held-out data with the FIT percentage.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -176,7 +175,6 @@ def grid_search(
     *,
     fusion_variant: str = "l2",
     literal_criterion: bool = False,
-    threads: int | None = None,
 ) -> GridSearchResult:
     """Score every grid point and pick the best-validating weights.
 
@@ -220,11 +218,7 @@ def grid_search(
         score = _validation_score(validation_problems, result, hp, literal_criterion)
         return ScoreRow(hp.lambda1, hp.lambda2, score, True, result.iterations)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            table = list(pool.map(evaluate, points))
-    else:
-        table = [evaluate(hp) for hp in points]
+    table = [evaluate(hp) for hp in points]
 
     best: ScoreRow | None = None
     for row in table:
@@ -600,7 +594,6 @@ def run_pipeline(
     fusion_variant: str = "l2",
     literal_criterion: bool = False,
     auto_k: bool = False,
-    threads: int | None = None,
 ) -> PipelineReport:
     """Run bounds, grid search, joint solve, clustering, refit, evaluation.
 
@@ -608,6 +601,8 @@ def run_pipeline(
     Deterministic for fixed inputs and seed: rerunning yields a
     byte-identical JSON report.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     cfg = cfg or SolverConfig()
     notes: list[str] = []
 
@@ -637,7 +632,6 @@ def run_pipeline(
         cfg,
         fusion_variant=fusion_variant,
         literal_criterion=literal_criterion,
-        threads=threads,
     )
 
     solve_result = stage("solve", solve, estimation, grid_result.hp, cfg)

@@ -220,6 +220,23 @@ class TestRun:
         assert main(argv) == 4
         assert "no grid point converged" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2_before_any_solve(self, synth_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append(a))
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"),
+                *RUN_ARGS, "--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert calls == []
+
+    def test_threads_option_is_gone(self, tmp_path):
+        # The grid search is serial: there is no worker count to set.
+        argv = ["run", "--manifest", "m.json", "--out", str(tmp_path / "o"), *RUN_ARGS,
+                "--threads", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_duplicate_evaluation_name_exit_2(self, synth_dir, tmp_path):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
         for source in ("BR30-2", "BR40-2"):
@@ -228,6 +245,28 @@ class TestRun:
         (synth_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
         assert main(argv) == 2
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (lambda m: ["x"], "manifest entry 0 must be a JSON object"),
+            (lambda m: [dict(m[0], channels=5), *m[1:]], "manifest entry 0: channels"),
+            (lambda m: [dict(m[0], channels="ab"), *m[1:]], "manifest entry 0: channels"),
+            (lambda m: [*m[:3], dict(m[3], file=7), *m[4:]], "manifest entry 3: file"),
+        ],
+        ids=["entry-not-object", "channels-number", "channels-string", "file-number"],
+    )
+    def test_exit_2_naming_the_entry(self, synth_dir, tmp_path, capsys, command, breakage, message):
+        path = synth_dir / "manifest.json"
+        path.write_text(json.dumps(breakage(json.loads(path.read_text()))), encoding="utf-8")
+        argv = [command, "--manifest", str(path), "--taps", "3"]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o"), *RUN_ARGS]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEval:

@@ -323,18 +323,21 @@ class TestSynthetic:
 
     def test_cli_run_leaves_scipy_unloaded(self, tmp_path):
         # The run path needs numpy only: importing scipy would add about
-        # 0.3 s and 28 MB to every run.
+        # 0.3 s and 28 MB to every run.  The grid search is serial, so the
+        # run starts no thread and never imports a thread pool either.
         data = tmp_path / "data"
         assert main(["synth", str(write_scenario(tmp_path)), "--out", str(data)]) == 0
         code = (
-            "import json, sys\n"
+            "import json, sys, threading\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "import fusedfir, fusedfir.cli\n"
             "after_import = scipy_modules()\n"
             "rc = fusedfir.cli.main(sys.argv[1:])\n"
             "print(json.dumps({'rc': rc, 'after_import': after_import,\n"
-            "                  'after_run': scipy_modules()}))\n"
+            "                  'after_run': scipy_modules(),\n"
+            "                  'pool': 'concurrent.futures' in sys.modules,\n"
+            "                  'threads': threading.active_count()}))\n"
         )
         argv = ["run", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run"),
                 *RUN_ARGS]
@@ -348,7 +351,9 @@ class TestSynthetic:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"rc": 0, "after_import": [], "after_run": []}
+        assert result == {
+            "rc": 0, "after_import": [], "after_run": [], "pool": False, "threads": 1
+        }
 
     def test_dataset_count_and_names(self):
         datasets = generate_synthetic(two_group_scenario())

@@ -364,14 +364,6 @@ class TestGridSearch:
         with pytest.raises(GridSearchFailedError):
             grid_search(est, val, grid, cfg)
 
-    def test_threads_match_sequential(self):
-        est, val = self._aligned(3, K=3, n=4, M=15)
-        grid = GridSpec(lambda1_factors=(1e-3, 1e-1), lambda2_values=(0.0, 1e-2))
-        seq = grid_search(est, val, grid)
-        par = grid_search(est, val, grid, threads=4)
-        assert seq.hp == par.hp
-        assert seq.score_table == par.score_table
-
     def test_traced_config_leaves_grid_solves_untraced(self, monkeypatch):
         import fusedfir.solver
 

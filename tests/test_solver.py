@@ -295,6 +295,22 @@ class TestScaleEquivariance:
         assert np.linalg.norm(theta_c / c - theta) <= 1e-6 * (1.0 + np.linalg.norm(theta))
 
 
+class TestPermutationEquivariance:
+    """The criterion is symmetric in the conditions, so solving them in
+    another order permutes the coefficient vectors and nothing else."""
+
+    @given(data=st.data(), **dict(instances, K=st.integers(2, 4)))
+    def test_permuted_conditions_permute_theta(self, seed, K, variant, fractions, data):
+        problems, hp = random_instance(seed, K, variant, fractions)
+        perm = data.draw(st.permutations(range(K)))
+        base = solve(problems, hp)
+        permuted = solve([problems[i] for i in perm], hp)
+        assert base.converged and permuted.converged
+        theta = np.asarray([t.values for t in base.thetas])
+        theta_p = np.asarray([t.values for t in permuted.thetas])
+        assert np.linalg.norm(theta_p - theta[perm]) <= 1e-6 * (1.0 + np.linalg.norm(theta))
+
+
 def _gram(rng: np.random.Generator, n: int, M: int, rank_deficient: bool) -> np.ndarray:
     """2 Phi^T Phi; a rank-deficient Phi has a duplicated and a zeroed column."""
     Phi = rng.standard_normal((M, n))
