@@ -136,19 +136,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    manifest_path = Path(args.manifest)
-    entries = load_manifest(manifest_path)
-    structure = ModelStructure(taps=args.taps, channels=len(entries[0].channels))
-    grid = GridSpec(
-        lambda1_factors=args.lambda1_factors or GridSpec().lambda1_factors,
-        lambda2_values=args.lambda2_values or GridSpec().lambda2_values,
-    )
     cfg = SolverConfig(
         rho=args.rho,
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
         max_iter=args.max_iter,
         trace=args.trace,
+    )
+    manifest_path = Path(args.manifest)
+    entries = load_manifest(manifest_path)
+    structure = ModelStructure(taps=args.taps, channels=len(entries[0].channels))
+    grid = GridSpec(
+        lambda1_factors=args.lambda1_factors or GridSpec().lambda1_factors,
+        lambda2_values=args.lambda2_values or GridSpec().lambda2_values,
     )
     variant = "l2_squared" if args.fusion_variant == "l2-squared" else "l2"
     report = run_pipeline(

@@ -289,7 +289,9 @@ def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centers = np.asarray([X[labels == c].mean(axis=0) for c in range(k)])
+        sums = np.zeros((k, X.shape[1]))
+        np.add.at(sums, labels, X)
+        centers = sums / counts[:, None]
         inertia = float(((X - centers[labels]) ** 2).sum())
         # Plain Lloyd steps never increase inertia; repair steps may jump.
         if not repaired and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):

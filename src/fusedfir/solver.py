@@ -22,7 +22,28 @@ whenever that ratio leaves [1/``RHO_BAND``, ``RHO_BAND``].  Both relative
 residuals are unchanged when the data and both weights are scaled together
 or when conditions are duplicated, so neither moves the schedule.  After
 ``RHO_MAX_CHANGES`` changes rho stays fixed, which keeps ADMM's
-convergence guarantee.  The stopping test is checked on every iteration.
+convergence guarantee.
+
+For a fixed rho, scaled ADMM is a fixed-point iteration v <- T(v) on
+v = A theta + y (Douglas-Rachford; Boyd et al. 2011, section 3): z =
+prox(v) and y = v - z, so v holds the whole state, and T(v) is the v of
+the next plain step.  After each plain step ``solve`` extrapolates by
+type-II Anderson acceleration: with the last ``ANDERSON_MEMORY``
+differences dG of the residuals g = T(v) - v and dT of the T(v), it takes
+gamma = argmin ||g - dG^T gamma|| and moves to T(v) - dT^T gamma, which
+sets z and y for the next theta step.  The safeguard is a simple form of
+Zhang, O'Donoghue & Boyd 2020's, which accepts extrapolations only while
+||g|| keeps falling: when ||g|| grows from one iteration to the next, the
+history is dropped and the plain step T(v) is taken.  A singular or
+non-finite least-squares solve also keeps the plain step.  A rho change
+rescales y and changes T, so it drops the history too.
+
+The stopping test is checked on every iteration, on the plain step from
+the (z_in, y_in) the theta step used, extrapolated or not: r = A theta - z
+and s = rho A^T (z - z_in).  The theta- and z-step optimality conditions
+make rho y a subgradient of the penalties at z and s the gradient
+residual of the Lagrangian at theta, for any (z_in, y_in), so it is the
+same KKT residual test as for plain ADMM.
 
 ``solve_oracle`` is a deliberately independent slow check: plain
 subgradient descent with diminishing steps and best-iterate tracking,
@@ -59,6 +80,9 @@ RHO_FACTOR_MIN = 1e-2
 RHO_FACTOR_MAX = 1e2
 RHO_MAX_CHANGES = 20
 
+# Anderson acceleration (module docstring): past residuals per extrapolation.
+ANDERSON_MEMORY = 5
+
 
 class SolverNumericalError(RuntimeError):
     """Raised when iterates stop being finite."""
@@ -73,10 +97,13 @@ class SolverConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        # math.isfinite first: every comparison with nan is False.
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be positive and finite (got {self.rho})")
+        for name in ("eps_abs", "eps_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite (got {value})")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -92,6 +119,7 @@ class SolveResult:
     trace: list[tuple[int, float, float, float]] | None = None
     rho: float = math.nan  # final penalty; nan for the oracle, which has none
     rho_changes: int = 0
+    anderson_steps: int = 0  # accepted extrapolations
 
 
 def max_pairwise_distance(thetas: list[ParameterVector]) -> float:
@@ -188,6 +216,24 @@ def _rho_factor(num: float, den: float) -> float:
     return 1.0
 
 
+def _anderson_point(
+    gram: np.ndarray, dG: np.ndarray, dT: np.ndarray, g: np.ndarray, Tv: np.ndarray
+) -> np.ndarray | None:
+    """Type-II Anderson point Tv - dT^T gamma, gamma = argmin ||g - dG^T gamma||.
+
+    gamma solves the normal equations with ``gram`` = dG dG^T; a singular
+    or non-finite solve returns None, and the caller keeps the plain step.
+    The long products use einsum, not BLAS (see ``_norm``).
+    """
+    with np.errstate(all="ignore"):
+        try:
+            gamma = np.linalg.solve(gram, np.einsum("ij,j->i", dG, g))
+        except np.linalg.LinAlgError:
+            return None
+        v = Tv - np.einsum("i,ij->j", gamma, dT)
+    return v if np.all(np.isfinite(v)) else None
+
+
 def _check_problems(problems: list[RegressionProblem]) -> None:
     if not problems:
         raise ValueError("need at least one problem")
@@ -240,11 +286,28 @@ def solve(
         c = rho_val if P else smooth_c
         return _ThetaStep(G, c * K + rho_val, c)
 
+    def prox(v: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            (prox_block_l2(v[:P], hp.lambda1 / rho), prox_l1(v[P:], hp.lambda2 / rho))
+        )
+
     rho = cfg.rho
     rho_changes = 0
     step = make_step(rho)
     z = np.zeros((P + K, n))
     y = np.zeros_like(z)
+    v = z + y  # the fixed-point state: z = prox(v) and y = v - z
+
+    # Anderson history: the last m differences of g = T(v) - v and of T(v),
+    # one flat row each, and the Gram matrix of the g differences.
+    m = ANDERSON_MEMORY
+    dG = np.empty((m, z.size))
+    dT = np.empty((m, z.size))
+    gram = np.empty((m, m))
+    filled = slot = 0
+    g_prev = T_prev = None
+    g_norm_prev = np.inf
+    anderson_steps = 0
 
     trace: list[tuple[int, float, float, float]] | None = [] if cfg.trace else None
     r_norm = np.inf
@@ -261,16 +324,15 @@ def solve(
         if not np.all(np.isfinite(theta)):
             raise SolverNumericalError(f"non-finite iterate at iteration {it}")
 
+        # The plain ADMM step from (z, y) = (z_in, v - z_in): Tv = T(v).
         Ath = np.concatenate((theta[lo] - theta[hi], theta))
-        z_old = z
-        v = Ath + y
-        z = np.concatenate(
-            (prox_block_l2(v[:P], hp.lambda1 / rho), prox_l1(v[P:], hp.lambda2 / rho))
-        )
-        y = v - z
+        z_in = z
+        Tv = Ath + y
+        z = prox(Tv)
+        y = Tv - z
 
         r_norm = _norm(Ath - z)
-        s_norm = rho * _norm(At(z - z_old))
+        s_norm = rho * _norm(At(z - z_in))
         scale_pri = max(_norm(theta), _norm(z))
         scale_dual = rho * _norm(At(y))
         eps_pri = cfg.eps_abs * np.sqrt(z.size) + cfg.eps_rel * scale_pri
@@ -294,6 +356,35 @@ def solve(
                 y /= factor
                 step = make_step(rho)
                 rho_changes += 1
+                # T itself changed: restart from the plain step.
+                v = z + y
+                filled = slot = 0
+                g_prev = T_prev = None
+                g_norm_prev = np.inf
+                continue
+
+        g_mat = Tv - v
+        g_norm = _norm(g_mat)
+        g, Tv_flat = g_mat.ravel(), Tv.ravel()
+        v = Tv
+        if g_norm > g_norm_prev:
+            # The last step did not reduce ||g||: plain step, fresh history.
+            filled = slot = 0
+        elif g_prev is not None:
+            dG[slot] = g - g_prev
+            dT[slot] = Tv_flat - T_prev
+            filled = min(filled + 1, m)
+            row = np.einsum("ij,j->i", dG[:filled], dG[slot])
+            gram[slot, :filled] = row
+            gram[:filled, slot] = row
+            slot = (slot + 1) % m
+            v_aa = _anderson_point(gram[:filled, :filled], dG[:filled], dT[:filled], g, Tv_flat)
+            if v_aa is not None:
+                v = v_aa.reshape(Tv.shape)
+                z = prox(v)
+                y = v - z
+                anderson_steps += 1
+        g_prev, T_prev, g_norm_prev = g, Tv_flat, g_norm
 
     thetas = [ParameterVector(theta[k], structure) for k in range(K)]
     return SolveResult(
@@ -306,6 +397,7 @@ def solve(
         trace=trace,
         rho=rho,
         rho_changes=rho_changes,
+        anderson_steps=anderson_steps,
     )
 
 

@@ -403,11 +403,24 @@ def test_grid_iterations_at_most_half_the_raw_residual_rule(pipeline_run):
     assert total <= RAW_RESIDUAL_RULE_GRID_ITERATIONS // 2, f"{total} grid iterations"
 
 
+# Grid iterations on the criterion-8 scenario under relative residual
+# balancing alone, before Anderson acceleration, measured the same way.
+RESIDUAL_BALANCING_GRID_ITERATIONS = 3_693
+
+
+def test_grid_iterations_at_most_half_of_residual_balancing_alone(pipeline_run):
+    _, _, rep, _ = pipeline_run
+    assert all(row.converged for row in rep.score_table)
+    total = sum(row.iterations for row in rep.score_table)
+    assert total <= RESIDUAL_BALANCING_GRID_ITERATIONS // 2, f"{total} grid iterations"
+
+
 def test_rho_stats_stay_out_of_report(pipeline_run):
     # report.json must stay byte-identical on reruns, so per-solve stats
     # live on the SolveResult only.
     _, _, rep, _ = pipeline_run
     assert rep.solve_result.rho_changes <= ff.solver.RHO_MAX_CHANGES
     assert rep.solve_result.rho > 0
+    assert 0 <= rep.solve_result.anderson_steps < rep.solve_result.iterations
     solve_section = json.loads(rep.to_json())["solve"]
-    assert not {"rho", "rho_changes"} & set(solve_section)
+    assert not {"rho", "rho_changes", "anderson_steps"} & set(solve_section)

@@ -229,6 +229,20 @@ class TestRun:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("option,field", [("--rho", "rho"), ("--eps-abs", "eps_abs"),
+                                              ("--eps-rel", "eps_rel")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_solver_option_exit_2_before_any_solve(
+        self, synth_dir, tmp_path, monkeypatch, capsys, option, field, value
+    ):
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append(a))
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"),
+                *RUN_ARGS, f"{option}={value}"]
+        assert main(argv) == 2
+        assert f"{field} must be positive and finite" in capsys.readouterr().err
+        assert calls == []
+
     def test_threads_option_is_gone(self, tmp_path):
         # The grid search is serial: there is no worker count to set.
         argv = ["run", "--manifest", "m.json", "--out", str(tmp_path / "o"), *RUN_ARGS,

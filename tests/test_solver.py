@@ -24,10 +24,12 @@ from fusedfir import (
     solve_oracle,
 )
 from fusedfir.solver import (
+    ANDERSON_MEMORY,
     RHO_ADAPT_EVERY,
     RHO_FACTOR_MAX,
     RHO_FACTOR_MIN,
     RHO_MAX_CHANGES,
+    _anderson_point,
     _rho_factor,
     _ThetaStep,
     cho_factor,
@@ -133,6 +135,57 @@ class TestInvariants:
             np.testing.assert_array_equal(ta.values, tb.values)
 
 
+class TestAnderson:
+    """The extrapolation step on its own, and its effect inside ``solve``."""
+
+    def test_affine_map_reaches_its_fixed_point(self):
+        # For an affine T with as many independent differences as
+        # dimensions, the type-II point is T's fixed point exactly.
+        rng = np.random.default_rng(0)
+        dim = ANDERSON_MEMORY
+        M = 0.5 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        c = rng.standard_normal(dim)
+        fixed = np.linalg.solve(np.eye(dim) - M, c)
+        vs = [rng.standard_normal(dim)]
+        for _ in range(dim):
+            vs.append(M @ vs[-1] + c)
+        Ts = [M @ v + c for v in vs]
+        gs = [t - v for t, v in zip(Ts, vs)]
+        dG = np.diff(gs, axis=0)
+        dT = np.diff(Ts, axis=0)
+        got = _anderson_point(dG @ dG.T, dG, dT, gs[-1], Ts[-1])
+        np.testing.assert_allclose(got, fixed, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "case", ["zero_history", "nan_history", "inf_history", "overflowing_history"]
+    )
+    def test_degenerate_history_keeps_the_plain_step(self, case):
+        # pytest turns RuntimeWarning into errors, so these also check
+        # that the fallback is silent.
+        g, Tv = np.ones(6), np.arange(6.0)
+        dG = np.zeros((2, 6))
+        if case == "nan_history":
+            dG[0, 0] = np.nan
+        elif case == "inf_history":
+            dG[1, 2] = np.inf
+        elif case == "overflowing_history":
+            # A tiny but regular Gram matrix: gamma ~ 1e150 is finite, and
+            # the step overflows.
+            dG[0, 0], dG[1, 1] = 1e-150, 2e-150
+        dT = np.full((2, 6), 1e300)
+        with np.errstate(all="ignore"):
+            gram = dG @ dG.T
+        assert _anderson_point(gram, dG, dT, g, Tv) is None
+
+    def test_solve_counts_accepted_extrapolations(self):
+        # The last iteration stops on its plain step and extrapolates nothing.
+        problems = random_problems(21, K=4, n=5, M=25)
+        hp = Hyperparameters(0.3 * lambda1_max(problems), 0.1 * lambda2_max(problems))
+        result = solve(problems, hp)
+        assert result.converged
+        assert 0 < result.anderson_steps < result.iterations
+
+
 class TestSolverMechanics:
     def test_max_iter_returns_unconverged(self):
         problems = random_problems(9, K=3, n=5, M=18)
@@ -150,6 +203,12 @@ class TestSolverMechanics:
         object.__setattr__(bad, "condition_name", "bad")
         with pytest.raises(ValueError, match="non-finite"):
             solve([bad, problems[1]], Hyperparameters(0.0, 0.0))
+
+    @pytest.mark.parametrize("field", ["rho", "eps_abs", "eps_rel"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_config_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolverConfig(**{field: value})
 
     def test_trace_rows(self):
         problems = random_problems(11, K=2, n=3, M=10)
@@ -259,7 +318,8 @@ class TestRhoPolicy:
         assert result.rho == pytest.approx(rho * factor**RHO_MAX_CHANGES, rel=1e-12)
 
     def test_balanced_residuals_keep_rho(self):
-        problems = random_problems(5, K=3, n=4, M=20)
+        # Large enough that the restarted solve passes more than two checks.
+        problems = random_problems(0, K=6, n=8, M=40)
         hp = Hyperparameters(0.5 * lambda1_max(problems), 0.1 * lambda2_max(problems))
         first = solve(problems, hp)
         assert first.converged and first.rho_changes > 0
@@ -270,6 +330,21 @@ class TestRhoPolicy:
         assert again.iterations > 2 * RHO_ADAPT_EVERY
         assert again.rho_changes == 0
         assert again.rho == first.rho
+
+
+class TestAccuracy:
+    """The default stopping test is a KKT residual test on the plain ADMM
+    step, whether or not the step started from an extrapolated point, so
+    its answer's objective stays close to that of a much tighter solve."""
+
+    @given(**instances)
+    def test_default_tolerance_objective_near_tight_solve(self, seed, K, variant, fractions):
+        problems, hp = random_instance(seed, K, variant, fractions)
+        default = solve(problems, hp)
+        tight = solve(problems, hp, SolverConfig(eps_abs=1e-12, eps_rel=1e-10))
+        assert default.converged and tight.converged
+        f, f_tight = default.objective.total, tight.objective.total
+        assert abs(f - f_tight) <= 1e-6 * (1.0 + abs(f_tight))
 
 
 class TestScaleEquivariance:
