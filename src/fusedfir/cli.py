@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import _json
 from .bounds import FusionUndefinedError, compute_bounds
 from .data import (
     IngestionError,
@@ -31,10 +30,14 @@ from .pipeline import (
     GridSpec,
     PipelineStageError,
     SolverNotConvergedError,
+    category_name,
     cross_evaluate,
+    csv_writer,
+    json_text,
     load_problems,
     read_theta_csv,
     run_pipeline,
+    write_csv,
     write_fit_matrix_csv,
     write_theta_csv,
 )
@@ -82,7 +85,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 "output": "y",
             }
         )
-    (out / "manifest.json").write_text(_json.dumps(manifest), encoding="utf-8")
+    (out / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
 
     # Truth summary goes to a sidecar only; the manifest must stay blind.
     sidecar = {
@@ -93,7 +96,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "noiseless": scenario.noise_sigma == 0.0,
         "seed": scenario.seed,
     }
-    (out / "ground_truth.json").write_text(_json.dumps(sidecar), encoding="utf-8")
+    (out / "ground_truth.json").write_text(json_text(sidecar), encoding="utf-8")
     print(
         f"synth: wrote {len(datasets)} datasets, manifest.json and "
         f"ground_truth.json to {out}"
@@ -104,7 +107,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     _, problems = _role_problems(Path(args.manifest), args.taps, ("estimation",))
     report = compute_bounds(problems)
-    text = _json.dumps(report.to_dict())
+    text = json_text(report.to_dict())
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -114,14 +117,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _, problems = _role_problems(Path(args.manifest), args.taps, ("estimation",))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fits = [ls_fit(p) for p in problems]
-    write_theta_csv(
-        out / "thetas.csv",
-        [p.condition_name for p in problems],
-        [f.theta for f in fits],
-    )
     summary = {
         p.condition_name: {
             "residual_norm_sq": f.residual_norm_sq,
@@ -130,7 +126,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
         }
         for p, f in zip(problems, fits)
     }
-    (out / "fits.json").write_text(_json.dumps(summary), encoding="utf-8")
+    # Built first: json_text raises on a non-finite value, and a failed
+    # fit should leave no partial output behind.
+    text = json_text(summary)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_theta_csv(
+        out / "thetas.csv",
+        [p.condition_name for p in problems],
+        [f.theta for f in fits],
+    )
+    (out / "fits.json").write_text(text, encoding="utf-8")
     print(f"fit: wrote {len(fits)} least-squares models to {out}")
     return EXIT_OK
 
@@ -169,17 +175,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_theta_csv(out / "thetas.csv", report.theta_names, report.solve_result.thetas)
     write_theta_csv(
         out / "category_thetas.csv",
-        ["+".join(report.refit_members[c]) for c in sorted(report.refits)],
+        [category_name(report.refit_members[c]) for c in sorted(report.refits)],
         [report.refits[c].theta for c in sorted(report.refits)],
     )
     write_fit_matrix_csv(out / "fit_matrix.csv", report.fit_reports)
     if args.trace and report.solve_result.trace is not None:
-        lines = ["iter,objective,primal_res,dual_res"]
-        lines += [
-            f"{it},{obj:.17g},{r:.17g},{s:.17g}"
+        rows = [["iter", "objective", "primal_res", "dual_res"]]
+        rows += [
+            [str(it), f"{obj:.17g}", f"{r:.17g}", f"{s:.17g}"]
             for it, obj, r, s in report.solve_result.trace
         ]
-        (out / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv(out / "trace.csv", rows)
 
     if report.bounds is not None:
         print(
@@ -213,9 +219,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         write_fit_matrix_csv(args.out, reports)
         print(f"eval: wrote {len(reports)} FIT cells to {args.out}")
     else:
-        for r in reports:
-            fit = "undefined" if r.fit_percent is None else f"{r.fit_percent:.17g}"
-            print(f"{r.model_source},{r.eval_dataset},{fit}")
+        csv_writer(sys.stdout).writerows(
+            [
+                r.model_source,
+                r.eval_dataset,
+                "undefined" if r.fit_percent is None else f"{r.fit_percent:.17g}",
+            ]
+            for r in reports
+        )
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,15 +97,14 @@ class ConditionDataset:
     """Input/output series recorded under one working condition.
 
     ``inputs`` is L x J (time by channel), ``output`` has length L.  Names
-    normally follow ``<COND><speed>-<idx>`` (e.g. ``BR30-1``); other names
-    are accepted but flagged.
+    normally follow ``<COND><speed>-<idx>`` (e.g. ``BR30-1``); any other
+    name is accepted and taken whole as its own condition.
     """
 
     name: str
     inputs: np.ndarray
     output: np.ndarray
     channel_names: tuple[str, ...] = ()
-    name_nonconforming: bool = field(default=False)
 
     def __post_init__(self) -> None:
         inputs = np.asarray(self.inputs, dtype=float)
@@ -125,9 +124,6 @@ class ConditionDataset:
             raise ValueError("dataset contains non-finite values")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "output", output)
-        object.__setattr__(
-            self, "name_nonconforming", parse_dataset_name(self.name) is None
-        )
 
     @property
     def sample_count(self) -> int:
@@ -230,6 +226,13 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 raise IngestionError(
                     f"manifest entry {i}: {field} must be a string, got {value!r}"
                 )
+        if not fields["name"].isprintable():
+            # Names are written to CSV outputs, and csv.writer leaves a
+            # bare CR unquoted, so csv.reader would split the row there.
+            raise IngestionError(
+                f"manifest entry {i}: name {fields['name']!r} holds a "
+                "non-printable character"
+            )
         if fields["role"] not in VALID_ROLES:
             raise IngestionError(
                 f"manifest entry {i}: role {fields['role']!r} not in {VALID_ROLES}"
@@ -242,6 +245,28 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             )
         entries.append(ManifestEntry(**fields, channels=tuple(channels)))
     return entries
+
+
+def parse_float_row(
+    path: str | Path, rownum: int, columns: list[str], cells: list[str]
+) -> list[float]:
+    """Finite floats from one CSV row's cells, one per column.  A non-numeric
+    or non-finite cell raises IngestionError naming the file, row and column."""
+    vals = []
+    for column, cell in zip(columns, cells):
+        cell = cell.strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            raise IngestionError(
+                f"{path}: row {rownum}, column {column!r}: non-numeric cell {cell!r}"
+            ) from None
+        if not math.isfinite(v):
+            raise IngestionError(
+                f"{path}: row {rownum}, column {column!r}: non-finite value {cell!r}"
+            )
+        vals.append(v)
+    return vals
 
 
 def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
@@ -288,23 +313,7 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
                     f"{path}: row {rownum} has {len(row)} cells, header has "
                     f"{len(header)}"
                 )
-            vals = []
-            for idx, colname in zip(take, wanted):
-                cell = row[idx].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {rownum}, column {colname!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise IngestionError(
-                        f"{path}: row {rownum}, column {colname!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                vals.append(v)
-            rows.append(vals)
+            rows.append(parse_float_row(path, rownum, wanted, [row[i] for i in take]))
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)

@@ -8,13 +8,16 @@ held-out data with the FIT percentage.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from . import _json
 from .bounds import BoundsReport, compute_bounds, lambda1_max
 from .criterion import FUSION_VARIANTS, Hyperparameters, objective, pair_distances
 from .data import (
@@ -27,6 +30,7 @@ from .data import (
     condition_of,
     load_dataset,
     load_manifest,
+    parse_float_row,
 )
 from .estimation import LsFit, pooled_ls_fit
 from .solver import SolveResult, SolverConfig, merged_pairs, solve
@@ -428,6 +432,11 @@ def refit_clusters(
     return {c: pooled_ls_fit(members) for c, members in sorted(groups.items())}
 
 
+def category_name(members: list[str]) -> str:
+    """Name of a category model: its member dataset names joined by '+'."""
+    return "+".join(members)
+
+
 @dataclass
 class PipelineReport:
     """Aggregated outcome of one full pipeline run; serializes to JSON."""
@@ -518,7 +527,7 @@ class PipelineReport:
                 {
                     "category": c,
                     "members": self.refit_members[c],
-                    "model_source": "+".join(self.refit_members[c]),
+                    "model_source": category_name(self.refit_members[c]),
                     "theta": [float(x) for x in fit.theta.values],
                     "residual_norm_sq": fit.residual_norm_sq,
                 }
@@ -535,7 +544,7 @@ class PipelineReport:
         }
 
     def to_json(self) -> str:
-        return _json.dumps(self.to_dict())
+        return json_text(self.to_dict())
 
 
 def load_problems(
@@ -674,7 +683,7 @@ def run_pipeline(
         for c in range(assignment.k)
     }
     models = {
-        "+".join(refit_members[c]): fit.theta for c, fit in sorted(refits.items())
+        category_name(refit_members[c]): fit.theta for c, fit in sorted(refits.items())
     }
     fit_reports = stage("evaluate", cross_evaluate, models, evaluation)
 
@@ -702,35 +711,60 @@ def run_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# Plot-ready CSV outputs
+# Output files
 # ---------------------------------------------------------------------------
+
+def json_text(obj) -> str:
+    """The text of every JSON file written: two-space indent, a trailing
+    newline, and floats in Python's shortest round-trip form (so reruns
+    are byte-identical).  Non-finite floats raise ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def csv_writer(fh: TextIO):
+    """The writer of every CSV output: each row ends in a bare newline, and
+    cells holding a comma or a double quote are quoted."""
+    return csv.writer(fh, lineterminator="\n")
+
+
+def write_csv(path: str | Path, rows: Iterable[list[str]]) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv_writer(fh).writerows(rows)
+
 
 def write_theta_csv(path: str | Path, names: list[str], thetas: list[ParameterVector]) -> None:
     n = thetas[0].structure.n_theta
-    lines = ["name," + ",".join(f"theta_{i}" for i in range(n))]
-    for name, t in zip(names, thetas):
-        lines.append(name + "," + ",".join(f"{v:.17g}" for v in t.values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [["name"] + [f"theta_{i}" for i in range(n)]]
+    rows += [[name] + [f"{v:.17g}" for v in t.values] for name, t in zip(names, thetas)]
+    write_csv(path, rows)
 
 
 def read_theta_csv(path: str | Path, structure: ModelStructure) -> dict[str, ParameterVector]:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text:
+    """Models of a theta CSV written by ``write_theta_csv``, by name.
+
+    Blank rows are skipped.  A ragged row, a non-numeric or non-finite
+    cell, or a repeated name raises IngestionError naming the row.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        rows = [(rownum, row) for rownum, row in enumerate(csv.reader(fh), start=1) if row]
+    if not rows:
         raise IngestionError(f"{path}: empty theta CSV")
-    header = text[0].split(",")
+    header = rows[0][1]
     if len(header) - 1 != structure.n_theta:
         raise IngestionError(
             f"{path}: has {len(header) - 1} coefficients per row, structure "
             f"requires {structure.n_theta}"
         )
     models: dict[str, ParameterVector] = {}
-    for line in text[1:]:
-        cells = line.split(",")
-        if cells[0] in models:
-            raise IngestionError(f"{path}: model {cells[0]!r} is listed twice")
-        models[cells[0]] = ParameterVector(
-            np.asarray([float(c) for c in cells[1:]]), structure
-        )
+    for rownum, row in rows[1:]:
+        if len(row) != len(header):
+            raise IngestionError(
+                f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
+            )
+        if row[0] in models:
+            raise IngestionError(f"{path}: model {row[0]!r} is listed twice")
+        values = parse_float_row(path, rownum, header[1:], row[1:])
+        models[row[0]] = ParameterVector(np.asarray(values), structure)
     return models
 
 
@@ -738,11 +772,8 @@ def write_fit_matrix_csv(path: str | Path, reports: list[FitReport]) -> None:
     sources = list(dict.fromkeys(r.model_source for r in reports))
     datasets = list(dict.fromkeys(r.eval_dataset for r in reports))
     cells = {(r.model_source, r.eval_dataset): r.fit_percent for r in reports}
-    lines = ["model_source," + ",".join(datasets)]
+    rows = [["model_source"] + datasets]
     for s in sources:
-        row = [s]
-        for d in datasets:
-            v = cells.get((s, d))
-            row.append("" if v is None else f"{v:.17g}")
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fits = (cells.get((s, d)) for d in datasets)
+        rows.append([s] + ["" if v is None else f"{v:.17g}" for v in fits])
+    write_csv(path, rows)

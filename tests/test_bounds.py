@@ -83,12 +83,21 @@ class TestLambda2Max:
         assert lambda2_max([problem(np.eye(2), [0.0, 0.0])]) == 0.0
 
     def test_above_bound_zeroes_everything(self):
+        # At lambda2 = lambda2_max the zero vector meets every condition's
+        # optimality condition with equality, whatever the fusion weight.
         problems = random_problems(5, K=3, n=5, M=20)
-        hp = Hyperparameters(0.0, 1.01 * lambda2_max(problems))
-        result = solve(problems, hp)
-        assert result.converged
-        for t in result.thetas:
-            assert np.abs(t.values).max() <= 1e-6
+        for lambda2_factor in (1.0, 1.01):
+            for lambda1_factor in (0.0, 1.0, 10.0):
+                for variant in ("l2", "l2_squared"):
+                    hp = Hyperparameters(
+                        lambda1_factor * lambda1_max(problems),
+                        lambda2_factor * lambda2_max(problems),
+                        variant,
+                    )
+                    result = solve(problems, hp)
+                    assert result.converged
+                    for t in result.thetas:
+                        assert np.abs(t.values).max() <= 1e-6
 
     def test_below_bound_keeps_something(self):
         problems = random_problems(6, K=3, n=5, M=20)

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fusedfir import Hyperparameters, pipeline
+from fusedfir import Hyperparameters, ModelStructure, pipeline
 from fusedfir.cli import main
 
 SCENARIO = {
@@ -137,6 +139,28 @@ class TestFitCommand:
         assert len(lines) == 7  # header + 6 estimation conditions
         fits = json.loads((out / "fits.json").read_text())
         assert all(info["gram_positive_definite"] for info in fits.values())
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_values_exit_2_without_output(self, tmp_path, capsys):
+        # Finite cells near 1e160 pass ingestion, but squared residuals and
+        # gradients overflow; JSON has no text for inf or nan.
+        rows = ["t,s1,y"] + [f"{i},{(-1) ** i * (1 + i % 3)}e160,{i % 5}e160" for i in range(30)]
+        manifest = []
+        for name in ("BR30-1", "BR40-1"):
+            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+            manifest.append({"name": name, "file": f"{name}.csv", "role": "estimation",
+                             "channels": ["s1"], "output": "y"})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "fits"
+        for argv in (["fit", "--out", str(out)], ["bounds"]):
+            capsys.readouterr()
+            assert main([*argv, "--manifest", str(path), "--taps", "2"]) == 2
+            captured = capsys.readouterr()
+            assert "Out of range float values are not JSON compliant" in captured.err
+            assert captured.out == ""
+        assert not out.exists()
 
 
 RUN_ARGS = ["--taps", "3", "--k", "2", "--seed", "11",
@@ -308,3 +332,31 @@ class TestEval:
         thetas.write_text(f"{header}\nA,1,0,0,0,0,0\nA,2,0,0,0,0,0\n", encoding="utf-8")
         argv = ["eval", "--manifest", str(synth_dir / "manifest.json"), "--taps", "3", "--thetas", str(thetas)]
         assert main(argv) == 2
+
+    def test_name_with_comma_and_quote_round_trips(self, synth_dir, tmp_path, capsys):
+        # One condition's estimation and validation datasets share a name
+        # that CSV must quote.
+        odd = 'BR30,"x'
+        path = synth_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest:
+            if entry["name"] in ("BR30-1", "BR30-2"):
+                entry["name"] = odd
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        run_out = tmp_path / "run"
+        assert main(["run", "--manifest", str(path), "--out", str(run_out), *RUN_ARGS]) == 0
+        report = json.loads((run_out / "report.json").read_text())
+        assert odd in report["thetas"]
+
+        models = pipeline.read_theta_csv(run_out / "thetas.csv", ModelStructure(3, 2))
+        assert list(models) == list(report["thetas"])
+        for name, values in report["thetas"].items():
+            assert models[name].values.tobytes() == np.asarray(values).tobytes()
+
+        capsys.readouterr()
+        argv = ["eval", "--manifest", str(path), "--taps", "3",
+                "--thetas", str(run_out / "thetas.csv")]
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert {row[0] for row in rows} == set(report["thetas"])
+        assert all(len(row) == 3 for row in rows)

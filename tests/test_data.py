@@ -23,7 +23,7 @@ from fusedfir import (
     load_manifest,
 )
 from fusedfir.cli import main
-from fusedfir.data import parse_dataset_name, write_dataset_csv
+from fusedfir.data import condition_of, parse_dataset_name, write_dataset_csv
 
 from test_cli import RUN_ARGS, write_scenario
 
@@ -112,7 +112,7 @@ class TestLoadDataset:
 
     def test_non_numeric_cell(self, tmp_path):
         p = write(tmp_path, "t,s1,y\n1,0.5,10\n2,abc,20\n")
-        with pytest.raises(IngestionError, match=r"row 3.*s1.*'abc'"):
+        with pytest.raises(IngestionError, match=r"row 3, column 's1': non-numeric cell 'abc'"):
             load_dataset(p, entry())
 
     def test_ragged_row(self, tmp_path):
@@ -199,6 +199,15 @@ class TestManifest:
         with pytest.raises(IngestionError, match="not found"):
             load_manifest(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("char", ["\r", "\n", "\t", "\x00", "\x7f"])
+    def test_non_printable_name(self, tmp_path, char):
+        # Names go into CSV outputs, where a bare CR would split a row.
+        manifest = [{"name": f"BR30{char}1", "file": "a.csv", "role": "estimation",
+                     "channels": ["s1"], "output": "y"}]
+        p = write(tmp_path, json.dumps(manifest), name="manifest.json")
+        with pytest.raises(IngestionError, match="manifest entry 0: name .* non-printable"):
+            load_manifest(p)
+
 
 class TestNames:
     def test_convention(self):
@@ -206,11 +215,10 @@ class TestNames:
         assert parse_dataset_name("WBA40-2") == ("WBA40", 2)
         assert parse_dataset_name("weird name") is None
 
-    def test_nonconforming_flag(self):
+    def test_nonconforming_name_is_its_own_condition(self):
         ds = ConditionDataset("not-a-name!", np.ones((2, 1)), np.ones(2))
-        assert ds.name_nonconforming
-        ds = ConditionDataset("BR30-1", np.ones((2, 1)), np.ones(2))
-        assert not ds.name_nonconforming
+        assert condition_of(ds.name) == "not-a-name!"
+        assert condition_of("BR30-1") == "BR30"
 
 
 class TestBuildRegressor:

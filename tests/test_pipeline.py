@@ -25,7 +25,7 @@ from fusedfir import (
     refit_clusters,
     run_pipeline,
 )
-from fusedfir.data import ManifestEntry, write_dataset_csv
+from fusedfir.data import IngestionError, ManifestEntry, write_dataset_csv
 import fusedfir.pipeline
 from fusedfir.pipeline import (
     ScoreRow,
@@ -34,7 +34,10 @@ from fusedfir.pipeline import (
     _kmeans_pp_init,
     _lloyd,
     auto_select_k,
+    json_text,
+    read_theta_csv,
     silhouette_score,
+    write_theta_csv,
 )
 
 from conftest import random_problems
@@ -467,6 +470,52 @@ class TestRefitAndCrossEval:
         )
         reports = cross_evaluate({"m": vec([1.0], s)}, [p])
         assert reports[0].fit_percent is None
+
+
+class TestOutputFiles:
+    S = ModelStructure(taps=2, channels=1)
+    HEADER = "name,theta_0,theta_1\n"
+
+    def test_theta_csv_round_trip_quotes_names(self, tmp_path):
+        names = ['BR30,x', 'say "hi"', "plain"]
+        thetas = [vec(v, self.S) for v in ([0.1, -2.5e-300], [1 / 3, -0.0], [7.0, 1e16])]
+        path = tmp_path / "t.csv"
+        write_theta_csv(path, names, thetas)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines()[1:] == [
+            '"BR30,x",0.10000000000000001,-2.5e-300',
+            '"say ""hi""",0.33333333333333331,-0',
+            "plain,7,10000000000000000",
+        ]
+        models = read_theta_csv(path, self.S)
+        assert list(models) == names
+        for name, t in zip(names, thetas):
+            assert models[name].values.tobytes() == t.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,1\n", "row 2 has 2 cells, header has 3"),
+            ("A,1,2,3\n", "row 2 has 4 cells, header has 3"),
+            ("A,1,x\n", "row 2, column 'theta_1': non-numeric cell 'x'"),
+            ("A,nan,1\n", "row 2, column 'theta_0': non-finite value 'nan'"),
+            ("A,1,-inf\n", "row 2, column 'theta_1': non-finite value '-inf'"),
+        ],
+        ids=["short", "long", "non-numeric", "nan", "inf"],
+    )
+    def test_bad_theta_row_names_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + row, encoding="utf-8")
+        with pytest.raises(IngestionError) as exc:
+            read_theta_csv(path, self.S)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_json_text(self):
+        assert json_text({"a": [1.0, -0.0, 0.1, None]}) == (
+            '{\n  "a": [\n    1.0,\n    -0.0,\n    0.1,\n    null\n  ]\n}\n'
+        )
+        with pytest.raises(ValueError):
+            json_text({"a": float("nan")})
 
 
 def small_scenario(seed=2024):

@@ -494,6 +494,29 @@ class TestOracle:
         gap = abs(fast.objective.total - slow.objective.total) / (1 + slow.objective.total)
         assert gap <= 1e-5
 
+    @pytest.mark.parametrize(
+        "seed,variant,lambda2_factor", [(0, "l2", 0.5), (1, "l2", 0.0), (2, "l2_squared", 0.1)]
+    )
+    def test_duplicated_column_agreement(self, seed, variant, lambda2_factor):
+        # A repeated regressor column makes every Phi rank-deficient, so the
+        # fit term alone has no unique minimizer.
+        s = ModelStructure(taps=6, channels=1)
+        problems = [
+            RegressionProblem(
+                Y=p.Y, Phi=np.column_stack([p.Phi, p.Phi[:, 0]]), structure=s,
+                condition_name=p.condition_name,
+            )
+            for p in random_problems(seed + 100, K=3, n=5, M=20)
+        ]
+        hp = Hyperparameters(
+            0.5 * lambda1_max(problems), lambda2_factor * lambda2_max(problems), variant
+        )
+        fast = solve(problems, hp)
+        slow = solve_oracle(problems, hp, iterations=60_000, seed=seed)
+        assert fast.converged
+        gap = abs(fast.objective.total - slow.objective.total) / (1 + slow.objective.total)
+        assert gap <= 1e-5
+
     def test_kinked_instance_agreement(self):
         problems = random_problems(17, K=3, n=6, M=30)
         hp = Hyperparameters(
