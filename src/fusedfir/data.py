@@ -8,6 +8,7 @@ linear regression problem with channel-major parameter blocks.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -274,13 +275,67 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
 
     Expected layout: ordinal column ``t`` first, named input channels,
     output column last; extra columns are ignored.  A UTF-8 byte order
-    mark and trailing blank rows are accepted.  Cell-level problems
-    (non-numeric, non-finite, ragged or blank rows before data) raise
-    IngestionError naming the offending row and column.
+    mark and trailing blank rows are accepted.  A cell is a number as
+    Python's ``float`` reads it, padded or not, and may be quoted.  Text
+    that is not UTF-8 and cell-level problems (non-numeric, non-finite,
+    ragged or blank rows before data) raise IngestionError naming the file
+    and, for a cell, the offending row and column.
+
+    numpy's C reader parses a file when ``_parse_plain_csv`` finds that it
+    gives what the row loop would; every other file, and every error, goes
+    through the row loop.  Both give the same arrays bit for bit.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"dataset file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+    wanted = list(entry.channels) + [entry.output]
+    data = _parse_plain_csv(text, wanted)
+    if data is None:
+        data = _parse_csv_rows(path, wanted)
+    return ConditionDataset(
+        name=entry.name,
+        inputs=data[:, : len(entry.channels)],
+        output=data[:, -1],
+        channel_names=entry.channels,
+    )
+
+
+def _parse_plain_csv(text: str, wanted: list[str]) -> np.ndarray | None:
+    """The ``wanted`` columns of a dataset's text (newlines translated), read
+    by numpy's C reader; None unless that is what the row loop would give.
+
+    It is when the text has no ``"``, the header has no duplicate and every
+    wanted column, no blank line comes before the last row, every row has
+    the header's cell count and every cell, wanted or not, is a number
+    numpy reads as finite.
+    """
+    # loadtxt skips blank lines, which the loop rejects before data; it
+    # rejects a whitespace-only or ragged line itself.
+    text = text.rstrip("\n")
+    if '"' in text or "\n\n" in text:
+        return None
+    head, _, body = text.partition("\n")
+    header = [h.strip() for h in head.split(",")]
+    # csv reads an empty line as no cells at all.
+    if not head or not body or len(set(header)) != len(header):
+        return None
+    if not set(wanted) <= set(header):
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return data[:, [header.index(name) for name in wanted]]
+
+
+def _parse_csv_rows(path: Path, wanted: list[str]) -> np.ndarray:
+    """The ``wanted`` columns of a dataset CSV, read row by row with ``csv``."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -294,7 +349,6 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
                 raise IngestionError(f"{path}: duplicate header column {h!r}")
             seen.add(h)
         col_index = {h: i for i, h in enumerate(header)}
-        wanted = list(entry.channels) + [entry.output]
         for name in wanted:
             if name not in col_index:
                 raise IngestionError(f"{path}: header is missing column {name!r}")
@@ -316,13 +370,7 @@ def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
             rows.append(parse_float_row(path, rownum, wanted, [row[i] for i in take]))
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    return ConditionDataset(
-        name=entry.name,
-        inputs=data[:, : len(entry.channels)],
-        output=data[:, -1],
-        channel_names=entry.channels,
-    )
+    return np.asarray(rows, dtype=float)
 
 
 def write_dataset_csv(ds: ConditionDataset, path: str | Path) -> None:

@@ -246,11 +246,16 @@ class ClusterAssignment:
     inertia: float
 
 
+def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from every row of A to every row of B."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
 def _kmeans_pp_init(
     X: np.ndarray, k: int, rng: np.random.Generator, sq: np.ndarray
-) -> np.ndarray:
-    """k-means++ seeding; row i of ``sq`` holds the squared distances from
-    X[i] to every row of X."""
+) -> list[int]:
+    """k-means++ seeding: the indices of the k rows of X chosen as centres.
+    Row i of ``sq`` holds the squared distances from X[i] to every row of X."""
     idx = int(rng.integers(X.shape[0]))
     chosen = [idx]
     d2 = np.full(X.shape[0], np.inf)
@@ -268,28 +273,39 @@ def _kmeans_pp_init(
             cdf /= cdf[-1]
             idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
-    return X[chosen]
+    return chosen
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    k = centers.shape[0]
-    labels = np.full(X.shape[0], -1)
+def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations from k starting centres, which may be any points.
+
+    ``d2[i, c]`` is the squared distance from X[i] to starting centre c, as
+    ``_sqdist(X, centres)`` gives it; it drives the first assignment step,
+    and later steps measure the distances to the updated centres.  Returns
+    the labels, the centres and the inertia.
+    """
+    n, k = d2.shape
+    labels = np.full(n, -1)
     prev_inertia = np.inf
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        # Empty-cluster repair: hand the point farthest from its centroid
-        # over, in cluster order; a hand-over can empty a later cluster.
+        # Empty-cluster repair: hand each empty cluster, in cluster order,
+        # the point farthest from its centroid that no hand-over has moved
+        # yet.  A hand-over can empty another cluster, so repeat until none
+        # is empty; a filled cluster keeps its moved point, so at most k
+        # hand-overs happen.
         counts = np.bincount(new_labels, minlength=k)
         repaired = not counts.all()
         if repaired:
-            for c in range(k):
-                if counts[c] == 0:
-                    far = int(np.argmax(d2[np.arange(X.shape[0]), new_labels]))
-                    counts[new_labels[far]] -= 1
-                    counts[c] += 1
-                    new_labels[far] = c
-                    d2[far, :] = 0.0
+            far_d2 = d2[np.arange(n), new_labels]
+            while not counts.all():
+                for c in range(k):
+                    if counts[c] == 0:
+                        far = int(np.argmax(far_d2))
+                        counts[new_labels[far]] -= 1
+                        counts[c] += 1
+                        new_labels[far] = c
+                        far_d2[far] = -np.inf
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -301,8 +317,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         if not repaired and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
             raise RuntimeError("k-means inertia rose on a plain Lloyd step")
         prev_inertia = inertia
-    d2 = ((X - centers[labels]) ** 2).sum()
-    return labels, centers, float(d2)
+        d2 = _sqdist(X, centers)
+    return labels, centers, inertia
 
 
 def kmeans(
@@ -329,12 +345,14 @@ def kmeans(
     structure = thetas[0].structure
     X = np.asarray([t.values for t in thetas])
 
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    sq = _sqdist(X, X)
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
     for _ in range(max(1, restarts)):
-        labels, _, inertia = _lloyd(X, _kmeans_pp_init(X, k, rng, sq))
+        # The centres are rows of X, so their first-pass distances are
+        # columns of sq, bit for bit.
+        labels, _, inertia = _lloyd(X, sq[:, _kmeans_pp_init(X, k, rng, sq)])
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels

@@ -223,6 +223,13 @@ class TestRun:
         argv = ["run", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
         assert main(argv) == 2
 
+    def test_non_utf8_dataset_exit_2_names_file(self, synth_dir, tmp_path, capsys):
+        path = synth_dir / "BR30-2.csv"
+        path.write_bytes(path.read_bytes() + b"\xe9")
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
+        assert main(argv) == 2
+        assert "BR30-2.csv: not UTF-8 text" in capsys.readouterr().err
+
     def test_final_solve_nonconvergence_exit_4(self, synth_dir, tmp_path, monkeypatch):
         real_solve = pipeline.solve
         monkeypatch.setattr(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusedfir import (
     ConditionDataset,
@@ -22,6 +22,7 @@ from fusedfir import (
     load_dataset,
     load_manifest,
 )
+import fusedfir.data
 from fusedfir.cli import main
 from fusedfir.data import condition_of, parse_dataset_name, write_dataset_csv
 
@@ -167,6 +168,105 @@ class TestLoadDataset:
         back = load_dataset(path, entry(channels=("s1", "s2")))
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.output, ds.output)
+
+
+# Cells the row loop reads or rejects in its own way: padded numbers,
+# numbers numpy's reader does not take, quoted cells and bad cells.
+ODD_CELLS = [
+    "+1", ".5", "5.", "-0", " 1.5 ", "\t2", "3\x0c", "\xa04", "1e-400", "0x10",
+    "1_000", '"1.5"', '" 2 "', '""', "", " ", "#1", "# 1", "1 2", "abc",
+    "nan", "-nan", "inf", "-Infinity", "1e999", "\u0661",
+]
+
+
+@st.composite
+def dataset_texts(draw):
+    """The text of a dataset CSV: well-formed, or with a few defects."""
+    channels = draw(st.sampled_from([["s1"], ["s1", "s2"], ["s2", "s1"]]))
+    header = ["t", *channels, "y", *draw(st.sampled_from([[], ["x"], ["x", "w"]]))]
+    header = draw(st.sampled_from([header] * 4 + [[f" {h} " for h in header], header + ["y"]]))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+        st.integers(-10**6, 10**6).map(str),
+    )
+    rows = [
+        [str(t + 1)] + [draw(number) for _ in header[1:]]
+        for t in range(draw(st.integers(1, 6)))
+    ]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.integers(0, len(row) - 1))
+        row[col] = draw(st.sampled_from(ODD_CELLS + ["t1"]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(number))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1]))):
+        blank = draw(st.sampled_from(["", "", " ", "\t", ",,"]))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    lines += [""] * draw(st.integers(0, 2))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    if not draw(st.booleans()):
+        endings = st.just(draw(endings))
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+def load_outcome(path, e):
+    """The arrays load_dataset gives, or its IngestionError message."""
+    try:
+        ds = load_dataset(path, e)
+    except IngestionError as exc:
+        return str(exc)
+    return ds.inputs.shape, ds.inputs.tobytes(), ds.output.tobytes()
+
+
+class TestCReader:
+    @settings(max_examples=300)
+    @given(text=dataset_texts())
+    @example(text="t,s1,y\n\n1,0.5,10\n")
+    @example(text="t,s1,y\r\n1,0.5,10\r\n\r\n2,1.5,20\r\n\r\n")
+    @example(text="t,s1,y\n1,0.5,10\n \n")
+    @example(text="t,s1,y\n1,0.5,10\n2,1.5\n")
+    @example(text="t,s1,y,x\nnan,0.5,10,inf\n")
+    @example(text="t,s1,y\n1, 1_000 ,10\n")
+    def test_same_arrays_or_error_as_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        e = entry(channels=("s1", "s2") if "s2" in text else ("s1",))
+        got = load_outcome(path, e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusedfir.data, "_parse_plain_csv", lambda text, wanted: None)
+            want = load_outcome(path, e)
+        assert got == want
+
+    def test_written_dataset_skips_row_loop(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(two_group_scenario(seed=3, samples=40))[0]
+        path = tmp_path / "d.csv"
+        write_dataset_csv(ds, path)
+
+        def refuse(*args):
+            raise AssertionError("the row loop parsed a well-formed file")
+
+        monkeypatch.setattr(fusedfir.data, "parse_float_row", refuse)
+        back = load_dataset(path, entry(channels=ds.channel_names))
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert back.output.tobytes() == ds.output.tobytes()
+
+    @pytest.mark.parametrize("body", ["t,s1,y\n1,0.5,10\n", 't,s1,y\n1,"0.5",10\n'])
+    def test_non_utf8_names_file(self, tmp_path, body):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(body.replace("y", "y\xe9").encode("latin-1"))
+        with pytest.raises(IngestionError, match=r"latin\.csv: not UTF-8 text: .*0xe9"):
+            load_dataset(p, entry(output="y\xe9"))
 
 
 class TestManifest:

@@ -33,6 +33,7 @@ from fusedfir.pipeline import (
     _distance_matrix,
     _kmeans_pp_init,
     _lloyd,
+    _sqdist,
     auto_select_k,
     json_text,
     read_theta_csv,
@@ -160,9 +161,26 @@ class TestKmeans:
         sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         for seed in range(5):
             np.testing.assert_array_equal(
-                _kmeans_pp_init(X, k, np.random.default_rng(seed), sq),
+                X[_kmeans_pp_init(X, k, np.random.default_rng(seed), sq)],
                 stacked_init(np.random.default_rng(seed)),
             )
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 8])
+    def test_identical_thetas_fill_every_cluster(self, K):
+        # Every distance ties at zero, so each k >= 2 needs k - 1 hand-overs
+        # and the repair must not move one point twice.
+        thetas = [vec([0.5, -1.25, 3.0]) for _ in range(K)]
+        names = [f"C{i}" for i in range(K)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(2, K + 1):
+                for seed in range(4):
+                    out = kmeans(thetas, k=k, seed=seed, names=names)
+                    assert sorted(set(out.labels.values())) == list(range(k))
+                    assert out.inertia == 0.0
+                    for c in out.centroids:
+                        np.testing.assert_array_equal(c.values, thetas[0].values)
+            assert auto_select_k(thetas, seed=0, names=names) == min(2, K)
 
 
 def loop_silhouette(D, lab):
@@ -182,17 +200,22 @@ def loop_silhouette(D, lab):
 
 def loop_lloyd(X, centers, max_iter=300):
     """Lloyd iterations with the per-cluster empty check, the reference for
-    the bincount repair."""
+    the bincount repair: each empty cluster, in cluster order, takes the
+    farthest point not yet moved, until no cluster is empty."""
     k = centers.shape[0]
     labels = np.full(X.shape[0], -1)
     for _ in range(max_iter):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(d2[np.arange(X.shape[0]), new_labels]))
-                new_labels[far] = c
-                d2[far, :] = 0.0
+        moved = []
+        while any(not np.any(new_labels == c) for c in range(k)):
+            for c in range(k):
+                if not np.any(new_labels == c):
+                    dist = d2[np.arange(X.shape[0]), new_labels]
+                    dist[moved] = -np.inf
+                    far = int(np.argmax(dist))
+                    new_labels[far] = c
+                    moved.append(far)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -232,13 +255,11 @@ class TestVectorisedClustering:
         picks = data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=k, max_size=k))
         far = data.draw(st.lists(st.sampled_from([0.0, 50.0]), min_size=k, max_size=k))
         centers = X[picks] + np.asarray(far)[:, None]
-        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = _lloyd(X, centers.copy())
-            want = loop_lloyd(X, centers.copy())
+        got = _lloyd(X, _sqdist(X, centers))
+        want = loop_lloyd(X, centers.copy())
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2] or (np.isnan(got[2]) and np.isnan(want[2]))
+        assert got[2] == want[2]
 
     @pytest.mark.parametrize(
         "X,centers,first",
@@ -253,7 +274,7 @@ class TestVectorisedClustering:
     )
     def test_lloyd_repair_fills_emptied_cluster(self, X, centers, first):
         X, centers = np.asarray(X), np.asarray(centers)
-        got = _lloyd(X, centers.copy())
+        got = _lloyd(X, _sqdist(X, centers))
         want = loop_lloyd(X, centers.copy())
         np.testing.assert_array_equal(loop_lloyd(X, centers.copy(), max_iter=1)[0], first)
         np.testing.assert_array_equal(got[0], want[0])
@@ -283,9 +304,26 @@ class TestVectorisedClustering:
 
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         np.testing.assert_array_equal(
-            _kmeans_pp_init(X, k, got_rng, sq), choice_init(want_rng)
+            X[_kmeans_pp_init(X, k, got_rng, sq)], choice_init(want_rng)
         )
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(
+        K=st.integers(1, 12),
+        n=st.integers(1, 200),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_seed_distances_are_first_pass_distances(self, K, n, scale, seed, data):
+        # kmeans hands Lloyd the columns of sq for the chosen rows in place
+        # of the distances to those rows; they must agree bit for bit.
+        X = scale * np.random.default_rng(seed).standard_normal((K, n))
+        chosen = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=K))
+        np.testing.assert_array_equal(
+            _sqdist(X, X)[:, chosen],
+            ((X[:, None, :] - X[chosen][None, :, :]) ** 2).sum(axis=2),
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kmeans_pp_rejects_non_finite_weights(self, seed):
