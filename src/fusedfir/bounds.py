@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import pair_distances
+from .criterion import sq_distances
 from .data import ParameterVector, RegressionProblem
 from .estimation import pooled_ls_fit
 
@@ -65,10 +65,14 @@ def _pooled_gradients(
     return grads, [float(np.linalg.norm(g)) for g in grads], star
 
 
+def _fusion_bounds(norms: list[float]) -> tuple[float, float]:
+    """(necessary, sufficient) fusion weights from the gradient norms."""
+    return max(norms) / (len(norms) - 1), 2.0 * max(norms) / len(norms)
+
+
 def lambda1_max(problems: list[RegressionProblem]) -> float:
     """Smallest fusion weight consistent with coalesced first-order optimality."""
-    _, norms, _ = _pooled_gradients(problems)
-    return max(norms) / (len(problems) - 1)
+    return _fusion_bounds(_pooled_gradients(problems)[1])[0]
 
 
 def lambda2_max(problems: list[RegressionProblem]) -> float:
@@ -80,20 +84,19 @@ def lambda2_max(problems: list[RegressionProblem]) -> float:
 
 def lambda1_sufficient_bound(problems: list[RegressionProblem]) -> float:
     """Fusion weight guaranteeing the coalescence certificate passes."""
-    _, norms, _ = _pooled_gradients(problems)
-    return 2.0 * max(norms) / len(problems)
+    return _fusion_bounds(_pooled_gradients(problems)[1])[1]
 
 
 def compute_bounds(problems: list[RegressionProblem]) -> BoundsReport:
     """Both penalty bounds plus the pooled fit they are evaluated at."""
     grads, norms, star = _pooled_gradients(problems)
-    K = len(problems)
+    necessary, sufficient = _fusion_bounds(norms)
     return BoundsReport(
-        lambda1_max=max(norms) / (K - 1),
+        lambda1_max=necessary,
         lambda2_max=lambda2_max(problems),
         per_condition_gradients=grads,
         theta_star=star,
-        lambda1_sufficient=2.0 * max(norms) / K,
+        lambda1_sufficient=sufficient,
     )
 
 
@@ -125,7 +128,7 @@ def coalescence_certificate(
     grads, _, _ = _pooled_gradients(problems)
     G = np.asarray(grads)
     scale = lambda1 * len(problems)
-    z_norm_max = max(float(d.max()) for d in pair_distances(G)) / scale
+    z_norm_max = float(np.sqrt(sq_distances(G, G).max())) / scale
     # sum_{i != k} z_ki - g_k / lambda1 = -sum_i g_i / (lambda1 K) for every k.
     stationarity_gap = float(np.abs(G.sum(axis=0)).max()) / scale
     return CoalescenceCertificate(

@@ -9,12 +9,14 @@ penalty (pruning irrelevant coefficients):
         + lambda2 * sum_k ||theta_k||_1
 
 The fusion sum runs over unordered pairs, each counted once.  A smooth
-variant squares the pair distances.
+variant squares the pair distances.  Every pairwise Euclidean distance
+the package takes, here, in the solver's merge checks, the bounds'
+certificate and the clustering, comes from ``sq_distances``; only the
+solver's independent oracle computes its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -70,14 +72,13 @@ def pair_list(K: int) -> list[tuple[int, int]]:
     return [(k, i) for i in range(K) for k in range(i)]
 
 
-def pair_distances(stack: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield norm(stack[:i] - stack[i], axis=1) for i = 1..K-1.
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from every row of A to every row of B.
 
-    Concatenated, the yielded arrays hold one distance per unordered pair
-    in ``pair_list`` order.
+    For a stack S, the entries of ``sq_distances(S, S)`` at
+    ``np.tril_indices(len(S), -1)`` are its pairs in ``pair_list`` order.
     """
-    for i in range(1, len(stack)):
-        yield np.linalg.norm(stack[:i] - stack[i], axis=1)
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
 
 
 def _shared_stack(thetas: list[ParameterVector]) -> np.ndarray:
@@ -92,18 +93,19 @@ def _shared_stack(thetas: list[ParameterVector]) -> np.ndarray:
 
 def fusion_value(thetas: list[ParameterVector]) -> float:
     """Sum of pairwise Euclidean distances, one term per unordered pair."""
+    S = _shared_stack(thetas)
     total = 0.0
-    for d in pair_distances(_shared_stack(thetas)):
-        total += float(d.sum())
+    # One row at a time, in pair_list order: no (K, K, n) temporary, and
+    # adding a condition adds exactly its own row's sum.
+    for i in range(1, len(S)):
+        total += float(np.sqrt(sq_distances(S[i : i + 1], S[:i])).sum())
     return total
 
 
 def fusion_value_squared(thetas: list[ParameterVector]) -> float:
     """Sum of squared pairwise Euclidean distances (smooth fusion variant)."""
-    total = 0.0
-    for d in pair_distances(_shared_stack(thetas)):
-        total += float((d ** 2).sum())
-    return total
+    S = _shared_stack(thetas)
+    return float(sq_distances(S, S)[np.tril_indices(len(S), -1)].sum())
 
 
 def objective(

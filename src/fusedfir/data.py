@@ -342,6 +342,8 @@ def _parse_csv_rows(path: Path, wanted: list[str]) -> np.ndarray:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row 1: {exc}") from None
         header = [h.strip() for h in header]
         seen: set[str] = set()
         for h in header:
@@ -356,18 +358,22 @@ def _parse_csv_rows(path: Path, wanted: list[str]) -> np.ndarray:
 
         rows: list[list[float]] = []
         blank = None  # first blank row; only trailing ones are accepted
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                blank = blank or rownum
-                continue
-            if blank is not None:
-                raise IngestionError(f"{path}: row {blank} is blank but data follows")
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: row {rownum} has {len(row)} cells, header has "
-                    f"{len(header)}"
-                )
-            rows.append(parse_float_row(path, rownum, wanted, [row[i] for i in take]))
+        rownum = 1  # the last row read; csv raises while reading the next
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                if not row:
+                    blank = blank or rownum
+                    continue
+                if blank is not None:
+                    raise IngestionError(f"{path}: row {blank} is blank but data follows")
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {rownum} has {len(row)} cells, header has "
+                        f"{len(header)}"
+                    )
+                rows.append(parse_float_row(path, rownum, wanted, [row[i] for i in take]))
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row {rownum + 1}: {exc}") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .bounds import BoundsReport, compute_bounds, lambda1_max
-from .criterion import FUSION_VARIANTS, Hyperparameters, objective, pair_distances
+from .criterion import FUSION_VARIANTS, Hyperparameters, objective, sq_distances
 from .data import (
     ConditionDataset,
     IngestionError,
@@ -246,11 +246,6 @@ class ClusterAssignment:
     inertia: float
 
 
-def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from every row of A to every row of B."""
-    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-
-
 def _kmeans_pp_init(
     X: np.ndarray, k: int, rng: np.random.Generator, sq: np.ndarray
 ) -> list[int]:
@@ -280,9 +275,9 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     """Lloyd iterations from k starting centres, which may be any points.
 
     ``d2[i, c]`` is the squared distance from X[i] to starting centre c, as
-    ``_sqdist(X, centres)`` gives it; it drives the first assignment step,
-    and later steps measure the distances to the updated centres.  Returns
-    the labels, the centres and the inertia.
+    ``sq_distances(X, centres)`` gives it; it drives the first assignment
+    step, and later steps measure the distances to the updated centres.
+    Returns the labels, the centres and the inertia.
     """
     n, k = d2.shape
     labels = np.full(n, -1)
@@ -317,7 +312,7 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
         if not repaired and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
             raise RuntimeError("k-means inertia rose on a plain Lloyd step")
         prev_inertia = inertia
-        d2 = _sqdist(X, centers)
+        d2 = sq_distances(X, centers)
     return labels, centers, inertia
 
 
@@ -345,7 +340,7 @@ def kmeans(
     structure = thetas[0].structure
     X = np.asarray([t.values for t in thetas])
 
-    sq = _sqdist(X, X)
+    sq = sq_distances(X, X)
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
@@ -373,13 +368,6 @@ def kmeans(
     )
 
 
-def _distance_matrix(X: np.ndarray) -> np.ndarray:
-    D = np.zeros((len(X), len(X)))
-    for i, d in enumerate(pair_distances(X), start=1):
-        D[:i, i] = D[i, :i] = d
-    return D
-
-
 def _silhouette(D: np.ndarray, lab: np.ndarray) -> float:
     """Mean silhouette of labels ``lab`` under distance matrix ``D``."""
     _, codes = np.unique(lab, return_inverse=True)
@@ -399,12 +387,6 @@ def _silhouette(D: np.ndarray, lab: np.ndarray) -> float:
     return float(np.mean(s))
 
 
-def silhouette_score(thetas: list[ParameterVector], labels: dict[str, int], names: list[str]) -> float:
-    """Mean silhouette over points; singleton clusters score zero."""
-    D = _distance_matrix(np.asarray([t.values for t in thetas]))
-    return _silhouette(D, np.asarray([labels[name] for name in names]))
-
-
 def auto_select_k(
     thetas: list[ParameterVector],
     seed: int,
@@ -417,7 +399,8 @@ def auto_select_k(
         return min(2, K)
     if names is None:
         names = [str(i) for i in range(K)]
-    D = _distance_matrix(np.asarray([t.values for t in thetas]))
+    X = np.asarray([t.values for t in thetas])
+    D = np.sqrt(sq_distances(X, X))
     best_k, best_s = 2, -np.inf
     for k in range(2, K):
         sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -62,10 +61,10 @@ from .criterion import (
     Hyperparameters,
     ObjectiveBreakdown,
     objective,
-    pair_distances,
     pair_list,
     prox_block_l2,
     prox_l1,
+    sq_distances,
 )
 from .data import ParameterVector, RegressionProblem
 
@@ -123,8 +122,8 @@ class SolveResult:
 
 
 def max_pairwise_distance(thetas: list[ParameterVector]) -> float:
-    stack = np.asarray([t.values for t in thetas])
-    return max((float(d.max()) for d in pair_distances(stack)), default=0.0)
+    stack = np.array([t.values for t in thetas], ndmin=2)  # one empty row for none
+    return math.sqrt(sq_distances(stack, stack).max())
 
 
 def merge_threshold(thetas: list[ParameterVector], rel: float = MERGE_REL_TOL) -> float:
@@ -142,8 +141,9 @@ def merged_pairs(
 ) -> list[tuple[int, int]]:
     """Index pairs whose models coincide up to the merge threshold."""
     thr = merge_threshold(thetas, rel)
-    dists = chain.from_iterable(pair_distances(np.asarray([t.values for t in thetas])))
-    return [pair for pair, d in zip(pair_list(len(thetas)), dists) if float(d) <= thr]
+    stack = np.array([t.values for t in thetas], ndmin=2)
+    dists = np.sqrt(sq_distances(stack, stack)[np.tril_indices(len(thetas), -1)])
+    return [pair for pair, d in zip(pair_list(len(thetas)), dists) if d <= thr]
 
 
 def _norm(x: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from fusedfir import (
     Hyperparameters,
     ModelStructure,
     RegressionProblem,
+    SolverConfig,
     coalescence_certificate,
     compute_bounds,
     is_coalesced,
@@ -15,6 +16,7 @@ from fusedfir import (
     lambda1_max,
     lambda1_sufficient_bound,
     lambda2_max,
+    objective,
     solve,
 )
 
@@ -174,6 +176,24 @@ class TestBoundRelations:
         assert lambda1_sufficient_bound(problems) == pytest.approx(
             lambda1_max(problems), rel=1e-12
         )
+
+    def test_k2_weight_at_bound_is_optimal_coalesced(self):
+        # At lambda1 = lambda1_max exactly, the weight sits on the necessary
+        # bound, which for two conditions is also the sufficient one: the
+        # pooled fit, shared by both conditions, is optimal.
+        cfg = SolverConfig(eps_abs=1e-12, eps_rel=1e-10)
+        for seed in range(20):
+            problems = random_problems(seed, K=2, n=4, M=16)
+            bound = lambda1_max(problems)
+            assert coalescence_certificate(problems, bound).certified
+            hp = Hyperparameters(bound, 0.0)
+            star = compute_bounds(problems).theta_star
+            f_star = objective(problems, [star, star], hp).total
+            result = solve(problems, hp, cfg)
+            assert result.converged
+            f = result.objective.total
+            assert f - f_star <= 1e-8 * (1.0 + f_star)
+            assert f >= f_star - 1e-13 * (1.0 + f_star)
 
     def test_k2_bisection_threshold_matches_bound(self):
         # For two conditions the necessary bound is the exact threshold.

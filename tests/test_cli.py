@@ -128,6 +128,16 @@ class TestBounds:
         assert rc == 2
 
 
+def put_long_cell(path: Path) -> None:
+    """Quote a cell longer than csv's field limit into row 2's ignored
+    ``t`` column."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[0] = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    lines[1] = ",".join(cells)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 class TestFitCommand:
     def test_fit_outputs(self, synth_dir, tmp_path):
         out = tmp_path / "fits"
@@ -140,6 +150,14 @@ class TestFitCommand:
         fits = json.loads((out / "fits.json").read_text())
         assert all(info["gram_positive_definite"] for info in fits.values())
 
+    def test_cell_over_csv_field_limit_exit_2(self, synth_dir, tmp_path, capsys):
+        put_long_cell(synth_dir / "BR40-1.csv")
+        out = tmp_path / "fits"
+        rc = main(["fit", "--manifest", str(synth_dir / "manifest.json"), "--taps", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "BR40-1.csv: row 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_values_exit_2_without_output(self, tmp_path, capsys):
@@ -229,6 +247,12 @@ class TestRun:
         argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
         assert main(argv) == 2
         assert "BR30-2.csv: not UTF-8 text" in capsys.readouterr().err
+
+    def test_cell_over_csv_field_limit_names_file(self, synth_dir, tmp_path, capsys):
+        put_long_cell(synth_dir / "WBA20-2.csv")
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"), *RUN_ARGS]
+        assert main(argv) == 2
+        assert "WBA20-2.csv: row 2: field larger than field limit" in capsys.readouterr().err
 
     def test_final_solve_nonconvergence_exit_4(self, synth_dir, tmp_path, monkeypatch):
         real_solve = pipeline.solve

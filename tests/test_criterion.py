@@ -13,7 +13,7 @@ from fusedfir import (
     prox_block_l2,
     prox_l1,
 )
-from fusedfir.criterion import pair_distances, pair_list
+from fusedfir.criterion import pair_list, sq_distances
 
 from conftest import random_problems, scalar_pair
 
@@ -184,14 +184,18 @@ class TestProx:
 class TestPairDistances:
     @pytest.mark.parametrize("K,n", [(1, 3), (2, 1), (3, 4), (7, 15), (10, 130)])
     def test_matches_per_pair_loop(self, K, n):
-        # The distances come in pair_list order, each bit-identical to the
-        # same norm taken one pair at a time.
+        # Read at the lower-triangle indices, the square roots come in
+        # pair_list order, each bit-identical to the same norm taken one pair
+        # at a time.
         stack = np.random.default_rng(K * n).standard_normal((K, n))
-        got = [float(x) for d in pair_distances(stack) for x in d]
+        sq = sq_distances(stack, stack)
+        got = [float(x) for x in np.sqrt(sq[np.tril_indices(K, -1)])]
         expected = [
             float(np.sqrt(((stack[k] - stack[i]) ** 2).sum())) for k, i in pair_list(K)
         ]
         assert got == expected
+        np.testing.assert_array_equal(sq, sq.T)
+        assert not np.diag(sq).any()
 
     def test_pair_list_order(self):
         assert pair_list(1) == []

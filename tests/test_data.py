@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -267,6 +268,27 @@ class TestCReader:
         p.write_bytes(body.replace("y", "y\xe9").encode("latin-1"))
         with pytest.raises(IngestionError, match=r"latin\.csv: not UTF-8 text: .*0xe9"):
             load_dataset(p, entry(output="y\xe9"))
+
+
+class TestCsvFieldLimit:
+    @pytest.mark.parametrize(
+        "head,rows,row",
+        [
+            ("t,s1,y,note", ["1,0.5,10,a", "2,1.5,20,{long}", "3,2.5,30,b"], 3),
+            ("t,s1,y,note", ["1,0.5,10,{long}"], 2),
+            # Rows are counted as records, not lines.
+            ("t,s1,y,note", ['1,0.5,10,"a\nb"', "2,1.5,20,{long}"], 3),
+            ("t,s1,y,{long}", ["1,0.5,10,a"], 1),
+        ],
+    )
+    def test_long_quoted_cell_names_file_and_row(self, tmp_path, head, rows, row):
+        long = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+        text = "\n".join([head, *rows]).replace("{long}", long) + "\n"
+        p = write(tmp_path, text)
+        with pytest.raises(
+            IngestionError, match=rf"d\.csv: row {row}: field larger than field limit"
+        ):
+            load_dataset(p, entry())
 
 
 class TestManifest:

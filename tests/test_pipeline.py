@@ -30,16 +30,15 @@ import fusedfir.pipeline
 from fusedfir.pipeline import (
     ScoreRow,
     _better_row,
-    _distance_matrix,
     _kmeans_pp_init,
     _lloyd,
-    _sqdist,
+    _silhouette,
     auto_select_k,
     json_text,
     read_theta_csv,
-    silhouette_score,
     write_theta_csv,
 )
+from fusedfir.criterion import sq_distances
 
 from conftest import random_problems
 
@@ -132,14 +131,16 @@ class TestKmeans:
         )
         names = [str(i) for i in range(6)]
         out = kmeans(thetas, k=2, seed=0, names=names)
-        assert silhouette_score(thetas, out.labels, names) > 0.9
+        X = np.asarray([t.values for t in thetas])
+        labels = np.asarray([out.labels[name] for name in names])
+        assert _silhouette(np.sqrt(sq_distances(X, X)), labels) > 0.9
         assert auto_select_k(thetas, seed=0, names=names) == 2
 
     @pytest.mark.parametrize("K,n", [(1, 2), (2, 1), (6, 15), (11, 140)])
     def test_silhouette_distance_matrix_matches_broadcast(self, K, n):
         X = np.random.default_rng(K + n).standard_normal((K, n))
         expected = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-        np.testing.assert_array_equal(_distance_matrix(X), expected)
+        np.testing.assert_array_equal(np.sqrt(sq_distances(X, X)), expected)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_kmeans_pp_running_minimum_matches_stacked(self, k):
@@ -243,9 +244,9 @@ class TestVectorisedClustering:
                 lambda l: len(set(l)) >= 2
             )
         )
-        names = [f"P{i}" for i in range(m)]
-        got = silhouette_score([vec(x) for x in X], dict(zip(names, labels)), names)
-        want = loop_silhouette(_distance_matrix(X), np.asarray(labels))
+        D = np.sqrt(sq_distances(X, X))
+        got = _silhouette(D, np.asarray(labels))
+        want = loop_silhouette(D, np.asarray(labels))
         assert abs(got - want) <= 1e-12
 
     @given(data=st.data())
@@ -255,7 +256,7 @@ class TestVectorisedClustering:
         picks = data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=k, max_size=k))
         far = data.draw(st.lists(st.sampled_from([0.0, 50.0]), min_size=k, max_size=k))
         centers = X[picks] + np.asarray(far)[:, None]
-        got = _lloyd(X, _sqdist(X, centers))
+        got = _lloyd(X, sq_distances(X, centers))
         want = loop_lloyd(X, centers.copy())
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -274,7 +275,7 @@ class TestVectorisedClustering:
     )
     def test_lloyd_repair_fills_emptied_cluster(self, X, centers, first):
         X, centers = np.asarray(X), np.asarray(centers)
-        got = _lloyd(X, _sqdist(X, centers))
+        got = _lloyd(X, sq_distances(X, centers))
         want = loop_lloyd(X, centers.copy())
         np.testing.assert_array_equal(loop_lloyd(X, centers.copy(), max_iter=1)[0], first)
         np.testing.assert_array_equal(got[0], want[0])
@@ -321,7 +322,7 @@ class TestVectorisedClustering:
         X = scale * np.random.default_rng(seed).standard_normal((K, n))
         chosen = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=K))
         np.testing.assert_array_equal(
-            _sqdist(X, X)[:, chosen],
+            sq_distances(X, X)[:, chosen],
             ((X[:, None, :] - X[chosen][None, :, :]) ** 2).sum(axis=2),
         )
 
@@ -334,18 +335,19 @@ class TestVectorisedClustering:
             _kmeans_pp_init(X, 2, np.random.default_rng(seed), sq)
 
     def test_auto_select_k_builds_one_distance_matrix(self, monkeypatch):
-        calls = []
-        real = fusedfir.pipeline._distance_matrix
+        matrices = []
+        real = fusedfir.pipeline._silhouette
 
-        def counting(X):
-            calls.append(1)
-            return real(X)
+        def recording(D, lab):
+            matrices.append(D)
+            return real(D, lab)
 
-        monkeypatch.setattr(fusedfir.pipeline, "_distance_matrix", counting)
+        monkeypatch.setattr(fusedfir.pipeline, "_silhouette", recording)
         rng = np.random.default_rng(8)
         thetas = [vec(rng.standard_normal(2) * 0.05 + 10.0 * g) for g in range(3) for _ in range(3)]
         assert auto_select_k(thetas, seed=0) == 3
-        assert len(calls) == 1
+        assert len(matrices) == 7  # k = 2..8
+        assert all(D is matrices[0] for D in matrices)
 
 
 class TestGridSearch:
