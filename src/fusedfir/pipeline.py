@@ -36,6 +36,7 @@ from .estimation import LsFit, pooled_ls_fit
 from .solver import SolveResult, SolverConfig, merged_pairs, solve
 
 _KMEANS_MAX_ITER = 300
+_KMEANS_RESTARTS = 10
 
 
 class PipelineStageError(RuntimeError):
@@ -316,35 +317,20 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     return labels, centers, inertia
 
 
-def kmeans(
-    thetas: list[ParameterVector],
-    k: int,
-    seed: int,
-    restarts: int = 10,
-    names: list[str] | None = None,
-) -> ClusterAssignment:
-    """Seeded k-means++ / Lloyd clustering of condition models.
+def _kmeans_core(
+    X: np.ndarray, sq: np.ndarray, k: int, seed: int
+) -> tuple[np.ndarray, float]:
+    """Seeded k-means++ / Lloyd clustering of the rows of X, where
+    ``sq = sq_distances(X, X)``.
 
-    Runs ``restarts`` seedings and keeps the lowest inertia; categories are
-    relabeled by first appearance so the output does not depend on the
-    restart that won.
+    Runs ``_KMEANS_RESTARTS`` seedings and keeps the lowest inertia.
+    Returns the labels, renumbered by first appearance so they do not
+    depend on the restart that won, and that inertia.
     """
-    if not thetas:
-        raise ValueError("need at least one parameter vector")
-    if not 1 <= k <= len(thetas):
-        raise ValueError(f"k={k} out of range 1..{len(thetas)}")
-    if names is None:
-        names = [str(i) for i in range(len(thetas))]
-    if len(names) != len(thetas):
-        raise ValueError("names must align with thetas")
-    structure = thetas[0].structure
-    X = np.asarray([t.values for t in thetas])
-
-    sq = sq_distances(X, X)
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(_KMEANS_RESTARTS):
         # The centres are rows of X, so their first-pass distances are
         # columns of sq, bit for bit.
         labels, _, inertia = _lloyd(X, sq[:, _kmeans_pp_init(X, k, rng, sq)])
@@ -353,18 +339,39 @@ def kmeans(
             best_labels = labels
     if best_labels is None:
         raise ValueError("k-means needs finite parameter vectors")
+    best = best_labels.tolist()
+    rank = {l: i for i, l in enumerate(dict.fromkeys(best))}
+    return np.asarray([rank[l] for l in best]), best_inertia
 
-    relabel: dict[int, int] = {}
-    for l in best_labels:
-        if int(l) not in relabel:
-            relabel[int(l)] = len(relabel)
-    category = np.asarray([relabel[int(l)] for l in best_labels])
-    labels_map = dict(zip(names, category.tolist()))
+
+def kmeans(
+    thetas: list[ParameterVector],
+    k: int,
+    seed: int,
+    names: list[str] | None = None,
+) -> ClusterAssignment:
+    """Seeded k-means++ / Lloyd clustering of condition models (see
+    ``_kmeans_core``); labels are keyed by ``names``, by default the
+    positions as strings."""
+    if not thetas:
+        raise ValueError("need at least one parameter vector")
+    if not 1 <= k <= len(thetas):
+        raise ValueError(f"k={k} out of range 1..{len(thetas)}")
+    if names is None:
+        names = [str(i) for i in range(len(thetas))]
+    if len(names) != len(thetas):
+        raise ValueError("names must align with thetas")
+    X = np.asarray([t.values for t in thetas])
+    category, inertia = _kmeans_core(X, sq_distances(X, X), k, seed)
     centroids = [
-        ParameterVector(X[category == c].mean(axis=0), structure) for c in range(k)
+        ParameterVector(X[category == c].mean(axis=0), thetas[0].structure)
+        for c in range(k)
     ]
     return ClusterAssignment(
-        labels=labels_map, centroids=centroids, k=k, inertia=best_inertia
+        labels=dict(zip(names, category.tolist())),
+        centroids=centroids,
+        k=k,
+        inertia=inertia,
     )
 
 
@@ -387,25 +394,18 @@ def _silhouette(D: np.ndarray, lab: np.ndarray) -> float:
     return float(np.mean(s))
 
 
-def auto_select_k(
-    thetas: list[ParameterVector],
-    seed: int,
-    restarts: int = 10,
-    names: list[str] | None = None,
-) -> int:
+def auto_select_k(thetas: list[ParameterVector], seed: int) -> int:
     """Pick the cluster count in 2..K-1 maximizing the mean silhouette."""
     K = len(thetas)
     if K <= 3:
         return min(2, K)
-    if names is None:
-        names = [str(i) for i in range(K)]
     X = np.asarray([t.values for t in thetas])
-    D = np.sqrt(sq_distances(X, X))
+    sq = sq_distances(X, X)
+    D = np.sqrt(sq)
     best_k, best_s = 2, -np.inf
     for k in range(2, K):
         sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
-        assignment = kmeans(thetas, k, seed=sub_seed, restarts=restarts, names=names)
-        s = _silhouette(D, np.asarray([assignment.labels[name] for name in names]))
+        s = _silhouette(D, _kmeans_core(X, sq, k, sub_seed)[0])
         if s > best_s:
             best_k, best_s = k, s
     return best_k
@@ -421,9 +421,7 @@ def refit_clusters(
     """Pooled least-squares refit of every category over its members."""
     groups: dict[int, list[RegressionProblem]] = {c: [] for c in range(assignment.k)}
     for p in problems:
-        key = p.condition_name if p.condition_name in assignment.labels else condition_of(
-            p.condition_name
-        )
+        key = condition_of(p.condition_name)
         if key not in assignment.labels:
             raise ValueError(f"assignment does not cover condition {p.condition_name!r}")
         groups[assignment.labels[key]].append(p)
@@ -628,6 +626,13 @@ def run_pipeline(
         "ingest", _ingest, manifest, structure
     )
     K = len(conditions)
+    auto_k = auto_k and K > 2
+    # A single condition clamps k to 1; any other k out of range fails
+    # here, before the first solve.
+    if k_clusters < 1 or (K >= 2 and not auto_k and k_clusters > K):
+        raise PipelineStageError(
+            "cluster", ValueError(f"k={k_clusters} out of range 1..{K}")
+        )
 
     if K >= 2:
         bounds_report = stage("bounds", compute_bounds, estimation)
@@ -657,21 +662,13 @@ def run_pipeline(
 
     seeds = np.random.SeedSequence(seed).spawn(1)
     kmeans_seed = int(seeds[0].generate_state(1)[0])
-    if auto_k and K > 2:
-        k_used = stage(
-            "cluster", auto_select_k, solve_result.thetas, seed, names=conditions
-        )
+    if auto_k:
+        k_used = stage("cluster", auto_select_k, solve_result.thetas, seed)
         notes.append(f"auto-selected k={k_used} by silhouette")
     else:
-        k_used = min(k_clusters, K) if K == 1 else k_clusters
+        k_used = min(k_clusters, K)
     assignment = stage(
-        "cluster",
-        kmeans,
-        solve_result.thetas,
-        k_used,
-        kmeans_seed,
-        10,
-        conditions,
+        "cluster", kmeans, solve_result.thetas, k_used, kmeans_seed, conditions
     )
 
     refits = stage("refit", refit_clusters, estimation, assignment)

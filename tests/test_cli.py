@@ -284,6 +284,18 @@ class TestRun:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_k_out_of_range_exit_2_before_any_solve(
+        self, synth_dir, tmp_path, monkeypatch, capsys, k
+    ):
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append(a))
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"),
+                *RUN_ARGS, "--k", k]
+        assert main(argv) == 2
+        assert f"k={k} out of range 1..6" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("option,field", [("--rho", "rho"), ("--eps-abs", "eps_abs"),
                                               ("--eps-rel", "eps_rel")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -30,6 +30,7 @@ import fusedfir.pipeline
 from fusedfir.pipeline import (
     ScoreRow,
     _better_row,
+    _kmeans_core,
     _kmeans_pp_init,
     _lloyd,
     _silhouette,
@@ -134,7 +135,7 @@ class TestKmeans:
         X = np.asarray([t.values for t in thetas])
         labels = np.asarray([out.labels[name] for name in names])
         assert _silhouette(np.sqrt(sq_distances(X, X)), labels) > 0.9
-        assert auto_select_k(thetas, seed=0, names=names) == 2
+        assert auto_select_k(thetas, seed=0) == 2
 
     @pytest.mark.parametrize("K,n", [(1, 2), (2, 1), (6, 15), (11, 140)])
     def test_silhouette_distance_matrix_matches_broadcast(self, K, n):
@@ -181,7 +182,26 @@ class TestKmeans:
                     assert out.inertia == 0.0
                     for c in out.centroids:
                         np.testing.assert_array_equal(c.values, thetas[0].values)
-            assert auto_select_k(thetas, seed=0, names=names) == min(2, K)
+            assert auto_select_k(thetas, seed=0) == min(2, K)
+
+
+def reference_auto_select_k(thetas, seed):
+    """Silhouette sweep through public ``kmeans`` once per k, on labels in
+    name order: the reference for ``auto_select_k``."""
+    K = len(thetas)
+    if K <= 3:
+        return min(2, K)
+    names = [str(i) for i in range(K)]
+    X = np.asarray([t.values for t in thetas])
+    D = np.sqrt(sq_distances(X, X))
+    best_k, best_s = 2, -np.inf
+    for k in range(2, K):
+        sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
+        out = kmeans(thetas, k, seed=sub_seed, names=names)
+        s = _silhouette(D, np.asarray([out.labels[name] for name in names]))
+        if s > best_s:
+            best_k, best_s = k, s
+    return best_k
 
 
 def loop_silhouette(D, lab):
@@ -342,12 +362,49 @@ class TestVectorisedClustering:
             matrices.append(D)
             return real(D, lab)
 
+        def recording_sq(A, B):
+            out = real_sq(A, B)
+            shapes.append(out.shape)
+            return out
+
+        shapes = []
+        real_sq = fusedfir.pipeline.sq_distances
         monkeypatch.setattr(fusedfir.pipeline, "_silhouette", recording)
+        monkeypatch.setattr(fusedfir.pipeline, "sq_distances", recording_sq)
         rng = np.random.default_rng(8)
         thetas = [vec(rng.standard_normal(2) * 0.05 + 10.0 * g) for g in range(3) for _ in range(3)]
         assert auto_select_k(thetas, seed=0) == 3
         assert len(matrices) == 7  # k = 2..8
         assert all(D is matrices[0] for D in matrices)
+        # Lloyd's steps measure (9, k) distances to centres; the (9, 9)
+        # matrix is squared once for every k.
+        assert shapes.count((9, 9)) == 1
+
+    @given(
+        K=st.integers(3, 20),
+        n=st.integers(1, 15),
+        scale=st.floats(1e-6, 1e6),
+        groups=st.integers(1, 4),
+        # Exact duplicates are left to test_identical_thetas_fill_every_cluster:
+        # with k above the number of distinct points, Lloyd runs to its
+        # iteration cap, which is too slow to sweep here.
+        spread=st.sampled_from([1e-9, 1e-3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_auto_select_k_matches_per_k_kmeans(self, K, n, scale, groups, spread, seed):
+        rng = np.random.default_rng(seed)
+        centres = rng.standard_normal((groups, n))
+        X = scale * (centres[rng.integers(groups, size=K)] + spread * rng.standard_normal((K, n)))
+        thetas = [vec(row) for row in X]
+        assert auto_select_k(thetas, seed) == reference_auto_select_k(thetas, seed)
+        sq = sq_distances(X, X)
+        for k in range(1, K + 1):
+            labels, inertia = _kmeans_core(X, sq, k, seed + k)
+            out = kmeans(thetas, k, seed + k)
+            assert labels.tolist() == [out.labels[str(i)] for i in range(K)]
+            assert inertia == out.inertia
+            # Numbered by first appearance.
+            assert list(dict.fromkeys(labels.tolist())) == list(range(k))
 
 
 class TestGridSearch:
