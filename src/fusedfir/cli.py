@@ -30,7 +30,6 @@ from .pipeline import (
     GridSpec,
     PipelineStageError,
     SolverNotConvergedError,
-    category_name,
     cross_evaluate,
     csv_writer,
     json_text,
@@ -47,6 +46,14 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_PRECONDITION = 3
 EXIT_NO_CONVERGENCE = 4
+
+# Exit code of each error class, checked in order: FusionUndefinedError is
+# a ValueError, as are IngestionError and json.JSONDecodeError.
+_EXIT_CODES = (
+    (FusionUndefinedError, EXIT_PRECONDITION),
+    ((GridSearchFailedError, SolverNotConvergedError), EXIT_NO_CONVERGENCE),
+    ((FileNotFoundError, ValueError), EXIT_DATA),
+)
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
@@ -175,8 +182,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_theta_csv(out / "thetas.csv", report.theta_names, report.solve_result.thetas)
     write_theta_csv(
         out / "category_thetas.csv",
-        [category_name(report.refit_members[c]) for c in sorted(report.refits)],
-        [report.refits[c].theta for c in sorted(report.refits)],
+        [cat.name for cat in report.categories],
+        [cat.fit.theta for cat in report.categories],
     )
     write_fit_matrix_csv(out / "fit_matrix.csv", report.fit_reports)
     if args.trace and report.solve_result.trace is not None:
@@ -195,8 +202,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         print("bounds: skipped (single condition)")
     print(
-        f"grid: selected lambda1={report.selected.lambda1:.6g} "
-        f"lambda2={report.selected.lambda2:.6g}"
+        f"grid: selected lambda1={report.search.hp.lambda1:.6g} "
+        f"lambda2={report.search.hp.lambda2:.6g}"
     )
     sr = report.solve_result
     print(
@@ -204,7 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"objective={sr.objective.total:.6g}"
     )
     print(f"cluster: k={report.clusters.k} labels={report.clusters.labels}")
-    print(f"refit: {len(report.refits)} categories")
+    print(f"refit: {len(report.categories)} categories")
     print(f"evaluate: {len(report.fit_reports)} FIT cells -> {out}")
     return EXIT_OK
 
@@ -289,22 +296,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FusionUndefinedError as exc:
+    except Exception as exc:
+        # A stage failure exits by its cause, 2 if unknown; any other
+        # unknown error propagates.
+        wrapped = isinstance(exc, PipelineStageError)
+        cause = exc.cause if wrapped else exc
+        code = next((c for cls, c in _EXIT_CODES if isinstance(cause, cls)), None)
+        if code is None and not wrapped:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except GridSearchFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, FusionUndefinedError):
-            return EXIT_PRECONDITION
-        if isinstance(exc.cause, (GridSearchFailedError, SolverNotConvergedError)):
-            return EXIT_NO_CONVERGENCE
-        return EXIT_DATA
-    except (IngestionError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_DATA if code is None else code
 
 
 if __name__ == "__main__":

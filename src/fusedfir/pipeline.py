@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -278,10 +278,12 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     ``d2[i, c]`` is the squared distance from X[i] to starting centre c, as
     ``sq_distances(X, centres)`` gives it; it drives the first assignment
     step, and later steps measure the distances to the updated centres.
-    Returns the labels, the centres and the inertia.
+    Stops when a labelling repeats: with fewer distinct rows than centres
+    the empty-cluster repair can cycle.  Returns the labels, the centres
+    and the inertia.
     """
     n, k = d2.shape
-    labels = np.full(n, -1)
+    seen: set[bytes] = set()
     prev_inertia = np.inf
     for _ in range(_KMEANS_MAX_ITER):
         new_labels = np.argmin(d2, axis=1)
@@ -302,8 +304,10 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
                         counts[c] += 1
                         new_labels[far] = c
                         far_d2[far] = -np.inf
-        if np.array_equal(new_labels, labels):
+        key = new_labels.tobytes()
+        if key in seen:
             break
+        seen.add(key)
         labels = new_labels
         sums = np.zeros((k, X.shape[1]))
         np.add.at(sums, labels, X)
@@ -415,10 +419,25 @@ def auto_select_k(thetas: list[ParameterVector], seed: int) -> int:
 # Refit + full pipeline
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Category:
+    """A merged category: its member dataset names, in dataset order, and
+    their pooled least-squares refit."""
+
+    members: tuple[str, ...]
+    fit: LsFit
+
+    @property
+    def name(self) -> str:
+        """Name of the category model: its member names joined by '+'."""
+        return "+".join(self.members)
+
+
 def refit_clusters(
     problems: list[RegressionProblem], assignment: ClusterAssignment
-) -> dict[int, LsFit]:
-    """Pooled least-squares refit of every category over its members."""
+) -> list[Category]:
+    """Pooled least-squares refit of every category over its members, in
+    category order."""
     groups: dict[int, list[RegressionProblem]] = {c: [] for c in range(assignment.k)}
     for p in problems:
         key = condition_of(p.condition_name)
@@ -428,12 +447,10 @@ def refit_clusters(
     for c, members in groups.items():
         if not members:
             raise ValueError(f"category {c} has no member problems")
-    return {c: pooled_ls_fit(members) for c, members in sorted(groups.items())}
-
-
-def category_name(members: list[str]) -> str:
-    """Name of a category model: its member dataset names joined by '+'."""
-    return "+".join(members)
+    return [
+        Category(tuple(p.condition_name for p in members), pooled_ls_fit(members))
+        for members in groups.values()
+    ]
 
 
 @dataclass
@@ -442,21 +459,16 @@ class PipelineReport:
 
     seed: int
     structure: ModelStructure
-    k_clusters: int
-    fusion_variant: str
     literal_criterion: bool
     conditions: list[str]
     notes: list[str]
     bounds: BoundsReport | None
-    lambda1_bound: float | None
     grid: GridSpec
-    selected: Hyperparameters
-    score_table: list[ScoreRow]
+    search: GridSearchResult
     solve_result: SolveResult
     theta_names: list[str]
     clusters: ClusterAssignment
-    refits: dict[int, LsFit]
-    refit_members: dict[int, list[str]]
+    categories: list[Category]
     fit_reports: list[FitReport]
 
     def to_dict(self) -> dict:
@@ -469,8 +481,8 @@ class PipelineReport:
                 "channels": self.structure.channels,
                 "n_theta": self.structure.n_theta,
             },
-            "k_clusters": self.k_clusters,
-            "fusion_variant": self.fusion_variant,
+            "k_clusters": self.clusters.k,
+            "fusion_variant": self.search.hp.fusion_variant,
             "literal_criterion": self.literal_criterion,
             "conditions": list(self.conditions),
             "notes": list(self.notes),
@@ -478,32 +490,15 @@ class PipelineReport:
             "grid": {
                 "lambda1_factors": list(self.grid.lambda1_factors),
                 "lambda2_values": list(self.grid.lambda2_values),
-                "lambda1_bound": self.lambda1_bound,
+                "lambda1_bound": self.search.lambda1_bound,
             },
-            "selected_hyperparameters": {
-                "lambda1": self.selected.lambda1,
-                "lambda2": self.selected.lambda2,
-                "fusion_variant": self.selected.fusion_variant,
-            },
+            "selected_hyperparameters": asdict(self.search.hp),
             "score_table": [
-                {
-                    "lambda1": row.lambda1,
-                    "lambda2": row.lambda2,
-                    "score": row.score if np.isfinite(row.score) else None,
-                    "converged": row.converged,
-                    "iterations": row.iterations,
-                }
-                for row in self.score_table
+                {**asdict(row), "score": row.score if np.isfinite(row.score) else None}
+                for row in self.search.score_table
             ],
             "solve": {
-                "objective": {
-                    "fit_term": sr.objective.fit_term,
-                    "fusion_term": sr.objective.fusion_term,
-                    "sparsity_term": sr.objective.sparsity_term,
-                    "lambda1": sr.objective.lambda1,
-                    "lambda2": sr.objective.lambda2,
-                    "total": sr.objective.total,
-                },
+                "objective": asdict(sr.objective),
                 "iterations": sr.iterations,
                 "converged": sr.converged,
                 "primal_residual": sr.primal_residual,
@@ -525,21 +520,14 @@ class PipelineReport:
             "refits": [
                 {
                     "category": c,
-                    "members": self.refit_members[c],
-                    "model_source": category_name(self.refit_members[c]),
-                    "theta": [float(x) for x in fit.theta.values],
-                    "residual_norm_sq": fit.residual_norm_sq,
+                    "members": cat.members,
+                    "model_source": cat.name,
+                    "theta": [float(x) for x in cat.fit.theta.values],
+                    "residual_norm_sq": cat.fit.residual_norm_sq,
                 }
-                for c, fit in sorted(self.refits.items())
+                for c, cat in enumerate(self.categories)
             ],
-            "fit_reports": [
-                {
-                    "model_source": r.model_source,
-                    "eval_dataset": r.eval_dataset,
-                    "fit_percent": r.fit_percent,
-                }
-                for r in self.fit_reports
-            ],
+            "fit_reports": [asdict(r) for r in self.fit_reports],
         }
 
     def to_json(self) -> str:
@@ -640,7 +628,7 @@ def run_pipeline(
         bounds_report = None
         notes.append("fusion undefined for a single condition; fusion stages skipped")
 
-    grid_result = stage(
+    search = stage(
         "grid_search",
         grid_search,
         estimation,
@@ -651,7 +639,7 @@ def run_pipeline(
         literal_criterion=literal_criterion,
     )
 
-    solve_result = stage("solve", solve, estimation, grid_result.hp, cfg)
+    solve_result = stage("solve", solve, estimation, search.hp, cfg)
     if not solve_result.converged:
         raise PipelineStageError(
             "solve",
@@ -671,39 +659,23 @@ def run_pipeline(
         "cluster", kmeans, solve_result.thetas, k_used, kmeans_seed, conditions
     )
 
-    refits = stage("refit", refit_clusters, estimation, assignment)
-    refit_members = {
-        c: [
-            p.condition_name
-            for p in estimation
-            if assignment.labels[condition_of(p.condition_name)] == c
-        ]
-        for c in range(assignment.k)
-    }
-    models = {
-        category_name(refit_members[c]): fit.theta for c, fit in sorted(refits.items())
-    }
+    categories = stage("refit", refit_clusters, estimation, assignment)
+    models = {cat.name: cat.fit.theta for cat in categories}
     fit_reports = stage("evaluate", cross_evaluate, models, evaluation)
 
-    est_names = [p.condition_name for p in estimation]
     return PipelineReport(
         seed=seed,
         structure=structure,
-        k_clusters=k_used,
-        fusion_variant=fusion_variant,
         literal_criterion=literal_criterion,
         conditions=conditions,
         notes=notes,
         bounds=bounds_report,
-        lambda1_bound=grid_result.lambda1_bound,
         grid=grid,
-        selected=grid_result.hp,
-        score_table=grid_result.score_table,
+        search=search,
         solve_result=solve_result,
-        theta_names=est_names,
+        theta_names=[p.condition_name for p in estimation],
         clusters=assignment,
-        refits=refits,
-        refit_members=refit_members,
+        categories=categories,
         fit_reports=fit_reports,
     )
 
@@ -720,8 +692,10 @@ def json_text(obj) -> str:
 
 
 def csv_writer(fh: TextIO):
-    """The writer of every CSV output: each row ends in a bare newline, and
-    cells holding a comma or a double quote are quoted."""
+    """The writer of every CSV that ``run``, ``fit`` and ``eval`` write: each
+    row ends in a bare newline, and cells holding a comma or a double quote
+    are quoted.  ``synth``'s dataset CSVs come from
+    ``data.write_dataset_csv``, whose rows end in CRLF."""
     return csv.writer(fh, lineterminator="\n")
 
 

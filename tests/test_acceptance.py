@@ -345,21 +345,19 @@ def test_criterion_8_end_to_end_recovery(pipeline_run):
 
     # Pooled refits land within least-squares noise range of the truth.
     datasets = {ds.name: ds for ds in ff.generate_synthetic(scn)}
-    for c, members in rep.refit_members.items():
+    for c, cat in enumerate(rep.categories):
         Phi = np.vstack(
-            [ff.build_regressor(datasets[m], scn.structure).Phi for m in members]
+            [ff.build_regressor(datasets[m], scn.structure).Phi for m in cat.members]
         )
-        truth = scn.group_truths[scn.assignment[members[0].rsplit("-", 1)[0]]]
-        err = float(np.linalg.norm(rep.refits[c].theta.values - truth.values))
+        truth = scn.group_truths[scn.assignment[cat.members[0].rsplit("-", 1)[0]]]
+        err = float(np.linalg.norm(cat.fit.theta.values - truth.values))
         noise_gain = float(np.sqrt(np.trace(np.linalg.inv(Phi.T @ Phi))))
         assert err <= 5.0 * scn.noise_sigma * noise_gain, (
             f"category {c} refit error {err:.4f} above the noise bound"
         )
 
     # Held-out FIT: strong on own conditions, far weaker across groups.
-    category_of_source = {
-        "+".join(rep.refit_members[c]): c for c in rep.refit_members
-    }
+    category_of_source = {cat.name: c for c, cat in enumerate(rep.categories)}
     own, cross = [], []
     for r in rep.fit_reports:
         eval_cond = r.eval_dataset.rsplit("-", 1)[0]
@@ -398,8 +396,8 @@ RAW_RESIDUAL_RULE_GRID_ITERATIONS = 27_823
 
 def test_grid_iterations_at_most_half_the_raw_residual_rule(pipeline_run):
     _, _, rep, _ = pipeline_run
-    assert all(row.converged for row in rep.score_table)
-    total = sum(row.iterations for row in rep.score_table)
+    assert all(row.converged for row in rep.search.score_table)
+    total = sum(row.iterations for row in rep.search.score_table)
     assert total <= RAW_RESIDUAL_RULE_GRID_ITERATIONS // 2, f"{total} grid iterations"
 
 
@@ -410,8 +408,8 @@ RESIDUAL_BALANCING_GRID_ITERATIONS = 3_693
 
 def test_grid_iterations_at_most_half_of_residual_balancing_alone(pipeline_run):
     _, _, rep, _ = pipeline_run
-    assert all(row.converged for row in rep.score_table)
-    total = sum(row.iterations for row in rep.score_table)
+    assert all(row.converged for row in rep.search.score_table)
+    total = sum(row.iterations for row in rep.search.score_table)
     assert total <= RESIDUAL_BALANCING_GRID_ITERATIONS // 2, f"{total} grid iterations"
 
 

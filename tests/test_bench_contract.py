@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_cli import RUN_ARGS, write_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +52,10 @@ def test_setup_probe_env():
     assert env["cli_threads_default"] == 1
 
 
-def test_traced_run_emits_every_per_layer_metric(tmp_path):
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    """Spans JSON and output directory of one traced default ``run``."""
+    tmp_path = tmp_path_factory.mktemp("traced")
     data = tmp_path / "data"
     python("-m", "fusedfir.cli", "synth", str(write_scenario(tmp_path)), "--out", str(data))
     out = tmp_path / "run"
@@ -60,6 +65,11 @@ def test_traced_run_emits_every_per_layer_metric(tmp_path):
         "run", "--manifest", str(data / "manifest.json"), "--out", str(out), *RUN_ARGS,
     )
     assert proc.returncode == 0, proc.stderr
+    return spans, out
+
+
+def test_traced_run_emits_every_per_layer_metric(traced_run):
+    spans, _ = traced_run
     code = (
         "import json, sys\n"
         "from tracer import layer_metrics\n"
@@ -75,3 +85,13 @@ def test_traced_run_emits_every_per_layer_metric(tmp_path):
     emitted = set(result["metrics"]) | {"trace.overhead_s", "trace.unaccounted_s", "run.cpu_s"}
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert emitted == {m["name"] for m in declared}
+
+
+def test_traced_run_makes_one_pooled_fit_per_category_plus_two(traced_run):
+    # The bounds and lambda1_max fit the pooled model once each; the refit
+    # fits each category once.
+    spans, out = traced_run
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    k = json.loads((out / "report.json").read_text(encoding="utf-8"))["clusters"]["k"]
+    fits = [s for s in trace["spans"] if s["name"] == "estimation.pooled_ls_fit"]
+    assert len(fits) == k + 2

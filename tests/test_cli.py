@@ -185,6 +185,80 @@ RUN_ARGS = ["--taps", "3", "--k", "2", "--seed", "11",
             "--lambda1-factors", "0.0001,0.01,0.1", "--lambda2-values", "0,0.01"]
 
 
+def key_schema(value):
+    """Key sequence of every JSON object in ``value``, nested: an object
+    becomes its (key, schema) pairs in order, a list the one schema its
+    elements share, and a scalar None."""
+    if isinstance(value, dict):
+        return [(key, key_schema(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        schemas = [key_schema(v) for v in value]
+        assert all(s == schemas[0] for s in schemas), "list elements differ in schema"
+        return schemas[0] if schemas else None
+    return None
+
+
+_CONDITIONS = sorted(SCENARIO["assignment"])
+REPORT_SCHEMA = [
+    ("schema", None),
+    ("seed", None),
+    ("structure", [("taps", None), ("channels", None), ("n_theta", None)]),
+    ("k_clusters", None),
+    ("fusion_variant", None),
+    ("literal_criterion", None),
+    ("conditions", None),
+    ("notes", None),
+    ("bounds", [
+        ("lambda1_max", None),
+        ("lambda2_max", None),
+        ("lambda1_sufficient", None),
+        ("theta_star", None),
+        ("per_condition_gradients", None),
+    ]),
+    ("grid", [("lambda1_factors", None), ("lambda2_values", None), ("lambda1_bound", None)]),
+    ("selected_hyperparameters", [
+        ("lambda1", None), ("lambda2", None), ("fusion_variant", None),
+    ]),
+    ("score_table", [
+        ("lambda1", None),
+        ("lambda2", None),
+        ("score", None),
+        ("converged", None),
+        ("iterations", None),
+    ]),
+    ("solve", [
+        ("objective", [
+            ("fit_term", None),
+            ("fusion_term", None),
+            ("sparsity_term", None),
+            ("lambda1", None),
+            ("lambda2", None),
+            ("total", None),
+        ]),
+        ("iterations", None),
+        ("converged", None),
+        ("primal_residual", None),
+        ("dual_residual", None),
+        ("merged_pairs", None),
+    ]),
+    ("thetas", [(f"{c}-1", None) for c in _CONDITIONS]),
+    ("clusters", [
+        ("k", None),
+        ("inertia", None),
+        ("labels", [(c, None) for c in _CONDITIONS]),
+        ("centroids", None),
+    ]),
+    ("refits", [
+        ("category", None),
+        ("members", None),
+        ("model_source", None),
+        ("theta", None),
+        ("residual_norm_sq", None),
+    ]),
+    ("fit_reports", [("model_source", None), ("eval_dataset", None), ("fit_percent", None)]),
+]
+
+
 class TestRun:
     def test_run_outputs_and_idempotence(self, synth_dir, tmp_path):
         out = tmp_path / "run"
@@ -201,6 +275,17 @@ class TestRun:
         first = checksums(out)
         assert main(argv) == 0
         assert checksums(out) == first
+
+    @pytest.mark.parametrize(
+        "options",
+        [[], ["--fusion-variant", "l2-squared", "--literal-criterion", "--auto-k"]],
+    )
+    def test_report_key_order_is_pinned(self, synth_dir, tmp_path, options):
+        out = tmp_path / "run"
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out)]
+        assert main([*argv, *RUN_ARGS, *options]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert key_schema(report) == REPORT_SCHEMA
 
     def test_missing_manifest_exit_2(self, tmp_path):
         rc = main(

@@ -222,9 +222,10 @@ def loop_silhouette(D, lab):
 def loop_lloyd(X, centers, max_iter=300):
     """Lloyd iterations with the per-cluster empty check, the reference for
     the bincount repair: each empty cluster, in cluster order, takes the
-    farthest point not yet moved, until no cluster is empty."""
+    farthest point not yet moved, until no cluster is empty.  Stops when a
+    labelling repeats."""
     k = centers.shape[0]
-    labels = np.full(X.shape[0], -1)
+    seen = []
     for _ in range(max_iter):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
@@ -237,8 +238,9 @@ def loop_lloyd(X, centers, max_iter=300):
                     far = int(np.argmax(dist))
                     new_labels[far] = c
                     moved.append(far)
-        if np.array_equal(new_labels, labels):
+        if any(np.array_equal(new_labels, s) for s in seen):
             break
+        seen.append(new_labels)
         labels = new_labels
         centers = np.asarray([X[labels == c].mean(axis=0) for c in range(k)])
     return labels, centers, float(((X - centers[labels]) ** 2).sum())
@@ -380,15 +382,32 @@ class TestVectorisedClustering:
         # matrix is squared once for every k.
         assert shapes.count((9, 9)) == 1
 
+    @pytest.mark.parametrize("k", range(4, 20))
+    def test_lloyd_stops_on_repeated_labelling(self, monkeypatch, k):
+        # 20 rows copying 4 centres: for most k > 4 the empty-cluster repair
+        # hands a duplicate over and a later step takes it back.
+        calls = []
+        real_sq = fusedfir.pipeline.sq_distances
+
+        def counting(A, B):
+            calls.append(B.shape)
+            return real_sq(A, B)
+
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((4, 15))[np.arange(20) % 4]
+        monkeypatch.setattr(fusedfir.pipeline, "sq_distances", counting)
+        labels, inertia = _kmeans_core(X, real_sq(X, X), k, seed=3)
+        assert sorted(set(labels.tolist())) == list(range(k))
+        assert inertia < 1e-20  # every point at its centre, up to rounding
+        # At most 10 Lloyd steps per restart, against 300 at the cap.
+        assert len(calls) <= 10 * fusedfir.pipeline._KMEANS_RESTARTS, len(calls)
+
     @given(
         K=st.integers(3, 20),
         n=st.integers(1, 15),
         scale=st.floats(1e-6, 1e6),
         groups=st.integers(1, 4),
-        # Exact duplicates are left to test_identical_thetas_fill_every_cluster:
-        # with k above the number of distinct points, Lloyd runs to its
-        # iteration cap, which is too slow to sweep here.
-        spread=st.sampled_from([1e-9, 1e-3, 1.0]),
+        spread=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_auto_select_k_matches_per_k_kmeans(self, K, n, scale, groups, spread, seed):
@@ -514,7 +533,7 @@ class TestRefitAndCrossEval:
         )
         refits = refit_clusters(problems, assignment)
         np.testing.assert_allclose(
-            refits[0].theta.values, ls_fit(problems[0]).theta.values, atol=1e-12
+            refits[0].fit.theta.values, ls_fit(problems[0]).theta.values, atol=1e-12
         )
 
     def test_identical_merged_same_theta(self):
@@ -527,7 +546,7 @@ class TestRefitAndCrossEval:
         )
         refits = refit_clusters([p, twin], assignment)
         np.testing.assert_allclose(
-            refits[0].theta.values, ls_fit(p).theta.values, atol=1e-10
+            refits[0].fit.theta.values, ls_fit(p).theta.values, atol=1e-10
         )
 
     def test_empty_category_rejected(self):
@@ -668,11 +687,11 @@ class TestRunPipeline:
 
         # Fusion engages: a positive weight is selected and never validates
         # worse than the unregularized grid point.
-        assert report.selected.lambda1 > 0
+        assert report.search.hp.lambda1 > 0
         unregularized = [
-            r for r in report.score_table if r.lambda1 == 0.0 and r.lambda2 == 0.0
+            r for r in report.search.score_table if r.lambda1 == 0.0 and r.lambda2 == 0.0
         ][0]
-        best = min(r.score for r in report.score_table)
+        best = min(r.score for r in report.search.score_table)
         assert best <= unregularized.score
 
         own = [
@@ -699,7 +718,7 @@ class TestRunPipeline:
         )
         assert any("fusion undefined" in note for note in report.notes)
         assert report.bounds is None
-        assert report.selected.lambda1 == 0.0
+        assert report.search.hp.lambda1 == 0.0
 
     def test_rerun_byte_identical(self, tmp_path):
         scn = small_scenario()
