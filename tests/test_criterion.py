@@ -152,6 +152,23 @@ class TestProx:
         v = np.array([0.5, -1.5])
         np.testing.assert_array_equal(prox_l1(v, 0.0), v)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 2.0, 5.0])
+    def test_match_the_earlier_forms_bit_for_bit(self, tau):
+        v = np.random.default_rng(7).standard_normal((40, 5))
+        v[0] = 0.0
+        v[1] = [3.0, 4.0, 0.0, 0.0, 0.0]  # norm exactly 5
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0) * v
+        l1 = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        np.testing.assert_array_equal(prox_block_l2(v, tau), block)
+        np.testing.assert_array_equal(prox_l1(v, tau), l1)
+        out = np.full((2, 40, 5), np.nan)
+        out_block, out_l1 = out
+        assert prox_block_l2(v, tau, out=out_block) is out_block
+        assert prox_l1(v, tau, out=out_l1) is out_l1
+        np.testing.assert_array_equal(out, [block, l1])
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             prox_l1(np.ones(2), -0.1)

@@ -23,6 +23,7 @@ from fusedfir import (
     solve,
     solve_oracle,
 )
+import fusedfir.solver
 from fusedfir.solver import (
     ANDERSON_MEMORY,
     RHO_ADAPT_EVERY,
@@ -345,6 +346,83 @@ class TestAccuracy:
         assert default.converged and tight.converged
         f, f_tight = default.objective.total, tight.objective.total
         assert abs(f - f_tight) <= 1e-6 * (1.0 + abs(f_tight))
+
+
+class TestWarmStart:
+    """``solve(start=...)`` begins at another solve's final (z, y, rho) and
+    keeps that solve's theta step when it solves the same system."""
+
+    @staticmethod
+    def _problems_and_weights():
+        problems = random_problems(3, K=4, n=5, M=30)
+        return problems, lambda1_max(problems), lambda2_max(problems)
+
+    @pytest.mark.parametrize("variant", ["l2", "l2_squared"])
+    def test_start_arrays_unchanged_across_a_rho_change(self, variant):
+        problems, l1, l2 = self._problems_and_weights()
+        first = solve(problems, Hyperparameters(0.5 * l1, 0.1 * l2, variant))
+        # So far from balance that the warm solve must change rho.
+        start = replace(first.state, rho=1e4 * first.state.rho)
+        z, y = start.z.copy(), start.y.copy()
+        warm = solve(problems, Hyperparameters(0.05 * l1, 0.01 * l2, variant), start=start)
+        assert warm.converged and warm.rho_changes > 0
+        np.testing.assert_array_equal(start.z, z)
+        np.testing.assert_array_equal(start.y, y)
+        assert warm.state.z is not start.z and warm.state.y is not start.y
+
+    @pytest.mark.parametrize("from_factor,to_factor", [(0.5, 0.0), (0.0, 0.5)])
+    def test_shape_change_starts_cold(self, from_factor, to_factor):
+        # Under l2 a zero fusion weight leaves the pair block without rows.
+        problems, l1, l2 = self._problems_and_weights()
+        donor = solve(problems, Hyperparameters(from_factor * l1, 0.1 * l2))
+        hp = Hyperparameters(to_factor * l1, 0.01 * l2)
+        cold = solve(problems, hp)
+        warm = solve(problems, hp, start=donor.state)
+        assert warm.state.z.shape != donor.state.z.shape
+        assert warm.iterations == cold.iterations and warm.rho == cold.rho
+        for a, b in zip(warm.thetas, cold.thetas):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "variant,next_factors,reused",
+        [
+            ("l2", (0.05, 0.1), True),  # the l2 theta step does not depend on lambda
+            ("l2", (0.5, 0.01), True),
+            ("l2_squared", (0.5, 0.01), True),  # same lambda1, so same coupling
+            ("l2_squared", (0.05, 0.1), False),
+        ],
+    )
+    def test_theta_step_carried_when_it_solves_the_same_system(
+        self, monkeypatch, variant, next_factors, reused
+    ):
+        problems, l1, l2 = self._problems_and_weights()
+        first = solve(problems, Hyperparameters(0.5 * l1, 0.1 * l2, variant))
+        calls = []
+        real = fusedfir.solver.cho_factor
+        monkeypatch.setattr(
+            fusedfir.solver, "cho_factor", lambda a: calls.append(1) or real(a)
+        )
+        hp = Hyperparameters(next_factors[0] * l1, next_factors[1] * l2, variant)
+        warm = solve(problems, hp, start=first.state)
+        # Two factorizations per coupled theta step: the stack and the capacity matrix.
+        steps_built = warm.rho_changes + (0 if reused else 1)
+        assert len(calls) == 2 * steps_built
+
+    def test_theta_step_of_other_data_is_rebuilt(self, monkeypatch):
+        problems, l1, l2 = self._problems_and_weights()
+        other = random_problems(4, K=4, n=5, M=30)
+        donor = solve(other, Hyperparameters(0.5 * lambda1_max(other), 0.0))
+        calls = []
+        real = fusedfir.solver.cho_factor
+        monkeypatch.setattr(
+            fusedfir.solver, "cho_factor", lambda a: calls.append(1) or real(a)
+        )
+        hp = Hyperparameters(0.5 * l1, 0.1 * l2)
+        warm = solve(problems, hp, start=donor.state)
+        assert len(calls) == 2 * (1 + warm.rho_changes)
+        f_cold = solve(problems, hp).objective.total
+        assert warm.converged
+        assert abs(warm.objective.total - f_cold) <= 1e-6 * (1.0 + abs(f_cold))
 
 
 class TestScaleEquivariance:
