@@ -261,8 +261,10 @@ class ClusterAssignment:
 def _kmeans_pp_init(
     X: np.ndarray, k: int, rng: np.random.Generator, sq: np.ndarray
 ) -> list[int]:
-    """k-means++ seeding: the indices of the k rows of X chosen as centres.
-    Row i of ``sq`` holds the squared distances from X[i] to every row of X."""
+    """k-means++ seeding, one draw at a time: the indices of the k rows of
+    X chosen as centres.  Row i of ``sq`` holds the squared distances from
+    X[i] to every row of X.  ``_kmeans_pp_starts`` runs it only for the
+    jobs whose weights sum to zero or are not finite."""
     idx = int(rng.integers(X.shape[0]))
     chosen = [idx]
     d2 = np.full(X.shape[0], np.inf)
@@ -283,17 +285,92 @@ def _kmeans_pp_init(
     return chosen
 
 
-def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _kmeans_pp_starts(
+    X: np.ndarray, sq: np.ndarray, jobs: list[tuple[int, np.random.Generator]]
+) -> list[np.ndarray]:
+    """k-means++ seeding of ``_KMEANS_RESTARTS`` restarts for every job
+    ``(k, rng)``, all in one batch: per job, an (restarts, k) array of the
+    row indices chosen as centres, the same bit for bit as
+    ``_kmeans_pp_init`` called once per restart on that job's generator.
+
+    Each restart takes ``rng.integers(K)`` and then ``rng.random(k - 1)``,
+    the draws ``_kmeans_pp_init`` consumes one call at a time
+    (``Generator.random(m)`` returns the doubles of m ``random()`` calls),
+    and every step runs its arithmetic row by row.  A job whose weights
+    sum to zero (duplicate rows) or are not finite restores its generator
+    and redraws with ``_kmeans_pp_init``: only that loop redraws
+    ``integers`` on zero weights and raises on non-finite ones.
+    """
+    K, R = sq.shape[0], _KMEANS_RESTARTS
+    # Rows in ascending k, so the rows still seeding at each step are a
+    # tail.  Row r's centres sit in ``chosen[at[r]:at[r] + k]`` and the
+    # draw for its centre j in ``u[at[r] + j]``: flat arrays and one reused
+    # step buffer keep the batch's peak memory near that of the
+    # sq_distances(X, X) call before it.
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
+    ks = np.repeat([jobs[i][0] for i in order], R)
+    at = np.cumsum(ks) - ks
+    chosen = np.empty(ks.sum(), dtype=np.intp)
+    u = np.empty(chosen.size)
+    states = []
+    for row, i in zip(range(0, ks.size, R), order):
+        k, rng = jobs[i]
+        states.append(rng.bit_generator.state)
+        for a in at[row : row + R]:
+            chosen[a] = rng.integers(K)
+            u[a + 1 : a + k] = rng.random(k - 1)
+    fallback = np.zeros(ks.size, dtype=bool)
+    d2 = np.full((ks.size, K), np.inf)
+    buf = np.empty_like(d2)  # each step's gathered rows, then its cdf
+    for j in range(1, ks[-1]):
+        lo = int(np.searchsorted(ks, j, side="right"))
+        live, cdf, pos = d2[lo:], buf[lo:], at[lo:] + j
+        # mode="clip" lets take write straight into ``out`` (the indices
+        # are rows of sq, so nothing is clipped).
+        np.minimum(live, sq.take(chosen[pos - 1], axis=0, out=cdf, mode="clip"), out=live)
+        total = live.sum(axis=1)
+        bad = ~(np.isfinite(total) & (total != 0.0))
+        if bad.any():
+            # These rows' jobs redraw below; a flat weight keeps nan and inf
+            # out of their cdf.
+            fallback[lo:] |= bad
+            live[bad] = 1.0
+            total[bad] = K
+        np.divide(live, total[:, None], out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:].copy()  # a view would make numpy copy all of cdf
+        # searchsorted(cdf, u, side="right") on each nondecreasing row.
+        chosen[pos] = (cdf <= u[pos, None]).sum(axis=1)
+    starts: list[np.ndarray] = [np.empty(0)] * len(jobs)
+    for row, i, state in zip(range(0, ks.size, R), order, states):
+        k, rng = jobs[i]
+        starts[i] = chosen[at[row] : at[row] + R * k].reshape(R, k)
+        if fallback[row : row + R].any():
+            rng.bit_generator.state = state
+            starts[i] = np.asarray([_kmeans_pp_init(X, k, rng, sq) for _ in range(R)])
+    return starts
+
+
+def _lloyd(
+    X: np.ndarray, sq: np.ndarray, d2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations from k starting centres, which may be any points.
 
     ``d2[i, c]`` is the squared distance from X[i] to starting centre c, as
     ``sq_distances(X, centres)`` gives it; it drives the first assignment
     step, and later steps measure the distances to the updated centres.
-    Stops when a labelling repeats: with fewer distinct rows than centres
-    the empty-cluster repair can cycle.  Returns the labels, the centres
-    and the inertia.
+    A centre with one member is that member's row bit for bit (0 + x, then
+    / 1), so its distances are read from ``sq = sq_distances(X, X)``; only
+    centres with two or more members are measured afresh.  Stops when a
+    labelling repeats: with fewer distinct rows than centres the
+    empty-cluster repair can cycle.  Returns the labels, the centres and
+    the inertia.
     """
     n, k = d2.shape
+    p = X.shape[1]
+    cols = np.arange(p)
+    rows = np.arange(n)
+    weights = X.ravel()
     seen: set[bytes] = set()
     prev_inertia = np.inf
     for _ in range(_KMEANS_MAX_ITER):
@@ -306,7 +383,7 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
         counts = np.bincount(new_labels, minlength=k)
         repaired = not counts.all()
         if repaired:
-            far_d2 = d2[np.arange(n), new_labels]
+            far_d2 = d2[rows, new_labels]
             while not counts.all():
                 for c in range(k):
                     if counts[c] == 0:
@@ -320,43 +397,54 @@ def _lloyd(X: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
             break
         seen.add(key)
         labels = new_labels
-        sums = np.zeros((k, X.shape[1]))
-        np.add.at(sums, labels, X)
+        # Summed in row order per cell, as np.add.at(sums, labels, X) does.
+        sums = np.bincount(
+            (labels[:, None] * p + cols).ravel(), weights=weights, minlength=k * p
+        ).reshape(k, p)
         centers = sums / counts[:, None]
         inertia = float(((X - centers[labels]) ** 2).sum())
         # Plain Lloyd steps never increase inertia; repair steps may jump.
         if not repaired and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
             raise RuntimeError("k-means inertia rose on a plain Lloyd step")
         prev_inertia = inertia
-        d2 = sq_distances(X, centers)
+        member = np.empty(k, dtype=np.intp)
+        member[labels] = rows  # a cluster's only member, where it has one
+        d2 = sq[:, member]
+        multi = counts > 1
+        if multi.any():
+            d2[:, multi] = sq_distances(X, centers[multi])
     return labels, centers, inertia
 
 
 def _kmeans_core(
-    X: np.ndarray, sq: np.ndarray, k: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Seeded k-means++ / Lloyd clustering of the rows of X, where
-    ``sq = sq_distances(X, X)``.
+    X: np.ndarray, sq: np.ndarray, jobs: list[tuple[int, np.random.Generator]]
+) -> list[tuple[np.ndarray, float]]:
+    """Seeded k-means++ / Lloyd clustering of the rows of X into k
+    clusters for each job ``(k, rng)``, where ``sq = sq_distances(X, X)``.
 
-    Runs ``_KMEANS_RESTARTS`` seedings and keeps the lowest inertia.
-    Returns the labels, renumbered by first appearance so they do not
-    depend on the restart that won, and that inertia.
+    Seeds ``_KMEANS_RESTARTS`` restarts of every job in one batch
+    (``_kmeans_pp_starts``), runs Lloyd from each start and keeps the
+    lowest inertia.  Returns per job the labels, renumbered by first
+    appearance so they do not depend on the restart that won, and that
+    inertia.
     """
-    rng = np.random.default_rng(seed)
-    best_labels: np.ndarray | None = None
-    best_inertia = np.inf
-    for _ in range(_KMEANS_RESTARTS):
-        # The centres are rows of X, so their first-pass distances are
-        # columns of sq, bit for bit.
-        labels, _, inertia = _lloyd(X, sq[:, _kmeans_pp_init(X, k, rng, sq)])
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    if best_labels is None:
-        raise ValueError("k-means needs finite parameter vectors")
-    best = best_labels.tolist()
-    rank = {l: i for i, l in enumerate(dict.fromkeys(best))}
-    return np.asarray([rank[l] for l in best]), best_inertia
+    out = []
+    for starts in _kmeans_pp_starts(X, sq, jobs):
+        best_labels: np.ndarray | None = None
+        best_inertia = np.inf
+        for chosen in starts:
+            # The centres are rows of X, so their first-pass distances are
+            # columns of sq, bit for bit.
+            labels, _, inertia = _lloyd(X, sq, sq[:, chosen])
+            if inertia < best_inertia:
+                best_inertia = inertia
+                best_labels = labels
+        if best_labels is None:
+            raise ValueError("k-means needs finite parameter vectors")
+        best = best_labels.tolist()
+        rank = {l: i for i, l in enumerate(dict.fromkeys(best))}
+        out.append((np.asarray([rank[l] for l in best]), best_inertia))
+    return out
 
 
 def kmeans(
@@ -377,7 +465,9 @@ def kmeans(
     if len(names) != len(thetas):
         raise ValueError("names must align with thetas")
     X = np.asarray([t.values for t in thetas])
-    category, inertia = _kmeans_core(X, sq_distances(X, X), k, seed)
+    [(category, inertia)] = _kmeans_core(
+        X, sq_distances(X, X), [(k, np.random.default_rng(seed))]
+    )
     centroids = [
         ParameterVector(X[category == c].mean(axis=0), thetas[0].structure)
         for c in range(k)
@@ -410,17 +500,25 @@ def _silhouette(D: np.ndarray, lab: np.ndarray) -> float:
 
 
 def auto_select_k(thetas: list[ParameterVector], seed: int) -> int:
-    """Pick the cluster count in 2..K-1 maximizing the mean silhouette."""
+    """Pick the cluster count in 2..K-1 maximizing the mean silhouette.
+
+    Clusters every k through ``_kmeans_core`` with the sub-seed
+    ``SeedSequence((seed, k))``, so all k share one batched seeding and
+    each k gets the labels ``kmeans`` would give it.
+    """
     K = len(thetas)
     if K <= 3:
         return min(2, K)
     X = np.asarray([t.values for t in thetas])
     sq = sq_distances(X, X)
     D = np.sqrt(sq)
+    jobs = [
+        (k, np.random.default_rng(int(np.random.SeedSequence((seed, k)).generate_state(1)[0])))
+        for k in range(2, K)
+    ]
     best_k, best_s = 2, -np.inf
-    for k in range(2, K):
-        sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
-        s = _silhouette(D, _kmeans_core(X, sq, k, sub_seed)[0])
+    for (k, _), (labels, _) in zip(jobs, _kmeans_core(X, sq, jobs)):
+        s = _silhouette(D, labels)
         if s > best_s:
             best_k, best_s = k, s
     return best_k

@@ -263,7 +263,7 @@ def _anderson_point(
         except np.linalg.LinAlgError:
             return None
         v = Tv - np.einsum("i,ij->j", gamma, dT)
-    return v if np.all(np.isfinite(v)) else None
+    return v if np.isfinite(v).all() else None
 
 
 def _check_problems(problems: list[RegressionProblem]) -> None:
@@ -299,7 +299,7 @@ def solve(
 
     G = np.asarray([2.0 * p.Phi.T @ p.Phi for p in problems])
     b = np.asarray([2.0 * p.Phi.T @ p.Y for p in problems])
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("non-finite data in problems")
 
     # A = [D; I]: D has one signed-difference row per pair under Euclidean
@@ -339,6 +339,8 @@ def solve(
         z = np.zeros((P + K, n))
         y = np.zeros_like(z)
     v = z + y  # the fixed-point state: z = prox(v) and y = v - z
+    abs_pri = cfg.eps_abs * np.sqrt(z.size)
+    abs_dual = cfg.eps_abs * np.sqrt(K * n)
 
     # Anderson history: the last m differences of g = T(v) - v and of T(v),
     # one flat row each, and the Gram matrix of the g differences.
@@ -363,11 +365,11 @@ def solve(
         rhs = b + rho * zy[P:]
         rhs += rho * (inc_t @ zy[:P])
         theta = step.solve(rhs)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise SolverNumericalError(f"non-finite iterate at iteration {it}")
 
         # The plain ADMM step from (z, y) = (z_in, v - z_in): Tv = T(v).
-        Ath = np.concatenate((theta[lo] - theta[hi], theta))
+        Ath = np.concatenate((np.take(theta, lo, axis=0) - np.take(theta, hi, axis=0), theta))
         z_in = z
         Tv = Ath + y
         z = prox(Tv)
@@ -377,8 +379,8 @@ def solve(
         s_norm = rho * _norm(At(z - z_in))
         scale_pri = max(_norm(theta), _norm(z))
         scale_dual = rho * _norm(At(y))
-        eps_pri = cfg.eps_abs * np.sqrt(z.size) + cfg.eps_rel * scale_pri
-        eps_dual = cfg.eps_abs * np.sqrt(theta.size) + cfg.eps_rel * scale_dual
+        eps_pri = abs_pri + cfg.eps_rel * scale_pri
+        eps_dual = abs_dual + cfg.eps_rel * scale_dual
 
         if trace is not None:
             obj_now = objective(

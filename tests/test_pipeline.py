@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from fusedfir.pipeline import (
     _better_row,
     _kmeans_core,
     _kmeans_pp_init,
+    _kmeans_pp_starts,
     _lloyd,
     _silhouette,
     auto_select_k,
@@ -188,23 +190,107 @@ class TestKmeans:
             assert auto_select_k(thetas, seed=0) == min(2, K)
 
 
+def broadcast_sq(A, B):
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def sequential_pp_init(k, rng, sq):
+    """k-means++ seeding one draw at a time, as ``_kmeans_pp_init`` does:
+    one ``integers`` draw, then one ``random()`` call per further centre,
+    or a fresh ``integers`` draw where every weight is zero."""
+    K = sq.shape[0]
+    idx = int(rng.integers(K))
+    chosen = [idx]
+    d2 = np.full(K, np.inf)
+    for _ in range(k - 1):
+        d2 = np.minimum(d2, sq[idx])
+        total = float(d2.sum())
+        if not math.isfinite(total):
+            raise ValueError("k-means++ weights must be finite")
+        if total == 0.0:
+            idx = int(rng.integers(K))
+        else:
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
+        chosen.append(idx)
+    return chosen
+
+
+def sequential_lloyd(X, d2):
+    """Lloyd iterations that measure every centre afresh and sum each
+    cluster with ``np.add.at``; the repair and the stops as in ``_lloyd``."""
+    n, k = d2.shape
+    seen = set()
+    prev_inertia = np.inf
+    for _ in range(fusedfir.pipeline._KMEANS_MAX_ITER):
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        repaired = not counts.all()
+        if repaired:
+            far_d2 = d2[np.arange(n), new_labels]
+            while not counts.all():
+                for c in range(k):
+                    if counts[c] == 0:
+                        far = int(np.argmax(far_d2))
+                        counts[new_labels[far]] -= 1
+                        counts[c] += 1
+                        new_labels[far] = c
+                        far_d2[far] = -np.inf
+        if new_labels.tobytes() in seen:
+            break
+        seen.add(new_labels.tobytes())
+        labels = new_labels
+        sums = np.zeros((k, X.shape[1]))
+        np.add.at(sums, labels, X)
+        centers = sums / counts[:, None]
+        inertia = float(((X - centers[labels]) ** 2).sum())
+        if not repaired and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
+            raise RuntimeError("k-means inertia rose on a plain Lloyd step")
+        prev_inertia = inertia
+        d2 = broadcast_sq(X, centers)
+    return labels, inertia
+
+
+def sequential_kmeans(X, k, seed):
+    """One restart after another, each seeded one draw at a time: the
+    bit-for-bit reference for ``_kmeans_core``.  Returns the labels,
+    numbered by first appearance, and the lowest inertia."""
+    sq = broadcast_sq(X, X)
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(fusedfir.pipeline._KMEANS_RESTARTS):
+        labels, inertia = sequential_lloyd(X, sq[:, sequential_pp_init(k, rng, sq)])
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels.tolist(), inertia
+    if best_labels is None:
+        raise ValueError("k-means needs finite parameter vectors")
+    first = list(dict.fromkeys(best_labels))
+    return [first.index(l) for l in best_labels], best_inertia
+
+
 def reference_auto_select_k(thetas, seed):
-    """Silhouette sweep through public ``kmeans`` once per k, on labels in
-    name order: the reference for ``auto_select_k``."""
+    """Silhouette sweep over ``sequential_kmeans`` once per k: the
+    reference for ``auto_select_k``."""
     K = len(thetas)
     if K <= 3:
         return min(2, K)
-    names = [str(i) for i in range(K)]
     X = np.asarray([t.values for t in thetas])
-    D = np.sqrt(sq_distances(X, X))
+    D = np.sqrt(broadcast_sq(X, X))
     best_k, best_s = 2, -np.inf
     for k in range(2, K):
         sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
-        out = kmeans(thetas, k, seed=sub_seed, names=names)
-        s = _silhouette(D, np.asarray([out.labels[name] for name in names]))
+        s = _silhouette(D, np.asarray(sequential_kmeans(X, k, sub_seed)[0]))
         if s > best_s:
             best_k, best_s = k, s
     return best_k
+
+
+def clustered_rows(K, n, scale, groups, spread, seed):
+    """K rows around ``groups`` centres; a spread of 0 repeats rows exactly."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((groups, n))
+    return scale * (centres[rng.integers(groups, size=K)] + spread * rng.standard_normal((K, n)))
 
 
 def loop_silhouette(D, lab):
@@ -281,8 +367,28 @@ class TestVectorisedClustering:
         picks = data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=k, max_size=k))
         far = data.draw(st.lists(st.sampled_from([0.0, 50.0]), min_size=k, max_size=k))
         centers = X[picks] + np.asarray(far)[:, None]
-        got = _lloyd(X, sq_distances(X, centers))
+        got = _lloyd(X, sq_distances(X, X), sq_distances(X, centers))
         want = loop_lloyd(X, centers.copy())
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @given(
+        m=st.integers(1, 8),
+        d=st.integers(1, 4),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_lloyd_one_member_centres_match_loop(self, m, d, scale, seed, data):
+        # Distinct rows and k near m: most clusters keep one member, whose
+        # distances _lloyd reads from sq.  With at most 8 rows loop_lloyd's
+        # means sum in the same order as _lloyd's cluster sums.
+        X = scale * np.random.default_rng(seed).standard_normal((m, d))
+        k = data.draw(st.integers(max(1, m - 2), m))
+        picks = data.draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
+        got = _lloyd(X, sq_distances(X, X), sq_distances(X, X[picks]))
+        want = loop_lloyd(X, X[picks])
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]
@@ -300,7 +406,7 @@ class TestVectorisedClustering:
     )
     def test_lloyd_repair_fills_emptied_cluster(self, X, centers, first):
         X, centers = np.asarray(X), np.asarray(centers)
-        got = _lloyd(X, sq_distances(X, centers))
+        got = _lloyd(X, sq_distances(X, X), sq_distances(X, centers))
         want = loop_lloyd(X, centers.copy())
         np.testing.assert_array_equal(loop_lloyd(X, centers.copy(), max_iter=1)[0], first)
         np.testing.assert_array_equal(got[0], want[0])
@@ -399,7 +505,7 @@ class TestVectorisedClustering:
         rng = np.random.default_rng(20)
         X = rng.standard_normal((4, 15))[np.arange(20) % 4]
         monkeypatch.setattr(fusedfir.pipeline, "sq_distances", counting)
-        labels, inertia = _kmeans_core(X, real_sq(X, X), k, seed=3)
+        [(labels, inertia)] = _kmeans_core(X, real_sq(X, X), [(k, np.random.default_rng(3))])
         assert sorted(set(labels.tolist())) == list(range(k))
         assert inertia < 1e-20  # every point at its centre, up to rounding
         # At most 10 Lloyd steps per restart, against 300 at the cap.
@@ -414,19 +520,126 @@ class TestVectorisedClustering:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_auto_select_k_matches_per_k_kmeans(self, K, n, scale, groups, spread, seed):
-        rng = np.random.default_rng(seed)
-        centres = rng.standard_normal((groups, n))
-        X = scale * (centres[rng.integers(groups, size=K)] + spread * rng.standard_normal((K, n)))
+        X = clustered_rows(K, n, scale, groups, spread, seed)
         thetas = [vec(row) for row in X]
         assert auto_select_k(thetas, seed) == reference_auto_select_k(thetas, seed)
         sq = sq_distances(X, X)
         for k in range(1, K + 1):
-            labels, inertia = _kmeans_core(X, sq, k, seed + k)
+            [(labels, inertia)] = _kmeans_core(X, sq, [(k, np.random.default_rng(seed + k))])
             out = kmeans(thetas, k, seed + k)
             assert labels.tolist() == [out.labels[str(i)] for i in range(K)]
             assert inertia == out.inertia
             # Numbered by first appearance.
             assert list(dict.fromkeys(labels.tolist())) == list(range(k))
+
+
+class TestBatchedSeeding:
+    """``_kmeans_pp_starts`` draws every restart's starts in one batch and
+    must give the starts, labels and inertia of one draw at a time."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("K,m", [(1, 0), (1, 1), (7, 3), (48, 47), (1000, 5)])
+    def test_random_batch_is_successive_single_draws(self, seed, K, m):
+        # The premise of the batch: after an integers() draw, random(m)
+        # returns the doubles of m random() calls and leaves the same state.
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert a.integers(K) == b.integers(K)
+            np.testing.assert_array_equal(a.random(m), [b.random() for _ in range(m)])
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @given(
+        K=st.integers(1, 20),
+        n=st.integers(1, 15),
+        scale=st.floats(1e-6, 1e6),
+        groups=st.integers(1, 4),
+        spread=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_kmeans_matches_sequential_reference(self, K, n, scale, groups, spread, seed, data):
+        k = data.draw(st.integers(1, K))
+        X = clustered_rows(K, n, scale, groups, spread, seed)
+        want = sequential_kmeans(X, k, seed)
+        [(labels, inertia)] = _kmeans_core(
+            X, sq_distances(X, X), [(k, np.random.default_rng(seed))]
+        )
+        assert (labels.tolist(), inertia) == want
+        out = kmeans([vec(row) for row in X], k, seed)
+        assert ([out.labels[str(i)] for i in range(K)], out.inertia) == want
+
+    @given(
+        K=st.integers(1, 16),
+        distinct=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_one_batch_matches_each_job_alone(self, K, distinct, seed, data):
+        # Jobs in any k order, repeated k among them; a k above the number
+        # of distinct rows meets zero weights and redraws one at a time.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((distinct, 3))[rng.integers(distinct, size=K)]
+        ks = data.draw(st.lists(st.integers(1, K), min_size=1, max_size=6))
+        jobs = [(k, np.random.default_rng([seed, i])) for i, k in enumerate(ks)]
+        starts = _kmeans_pp_starts(X, sq_distances(X, X), jobs)
+        for i, (k, job_rng) in enumerate(jobs):
+            ref = np.random.default_rng([seed, i])
+            want = [
+                sequential_pp_init(k, ref, broadcast_sq(X, X))
+                for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)
+            ]
+            np.testing.assert_array_equal(starts[i], want)
+            assert job_rng.bit_generator.state == ref.bit_generator.state
+
+    @staticmethod
+    def count_pp_init(monkeypatch):
+        ks = []
+        real = fusedfir.pipeline._kmeans_pp_init
+
+        def counting(X, k, rng, sq):
+            ks.append(k)
+            return real(X, k, rng, sq)
+
+        monkeypatch.setattr(fusedfir.pipeline, "_kmeans_pp_init", counting)
+        return ks
+
+    def test_distinct_models_never_seed_one_draw_at_a_time(self, monkeypatch):
+        calls = self.count_pp_init(monkeypatch)
+        X = clustered_rows(24, 15, 1.0, 4, 1e-3, 5)
+        thetas = [vec(row) for row in X]
+        assert auto_select_k(thetas, seed=7) == reference_auto_select_k(thetas, 7)
+        out = kmeans(thetas, 4, seed=7)
+        assert ([out.labels[str(i)] for i in range(24)], out.inertia) == sequential_kmeans(X, 4, 7)
+        assert calls == []
+
+    def test_duplicate_models_redraw_and_match(self, monkeypatch):
+        calls = self.count_pp_init(monkeypatch)
+        X = clustered_rows(12, 5, 1.0, 3, 0.0, 9)
+        distinct = len(np.unique(X, axis=0))
+        thetas = [vec(row) for row in X]
+        assert auto_select_k(thetas, seed=2) == reference_auto_select_k(thetas, 2)
+        for k in range(1, 13):
+            out = kmeans(thetas, k, seed=k)
+            assert ([out.labels[str(i)] for i in range(12)], out.inertia) == sequential_kmeans(X, k, k)
+        # Only a k above the distinct rows meets zero weights, and such a
+        # job redraws every restart.
+        assert calls and min(calls) > distinct
+        assert len(calls) % fusedfir.pipeline._KMEANS_RESTARTS == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_models_raise_as_the_reference_does(self, bad):
+        X = clustered_rows(6, 3, 1.0, 2, 1.0, 4)
+        X[2, 1] = bad
+        thetas = [vec(row) for row in X]
+        with np.errstate(invalid="ignore"):
+            for k in range(1, 7):
+                with pytest.raises(ValueError) as want:
+                    sequential_kmeans(X, k, seed=k)
+                with pytest.raises(ValueError) as got:
+                    kmeans(thetas, k, seed=k)
+                assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError, match="k-means\\+\\+ weights must be finite"):
+                auto_select_k(thetas, seed=0)
 
 
 class TestGridSearch:
