@@ -8,13 +8,9 @@ conditions by k-means and evaluates with the FIT percentage.
 
 from .bounds import (
     BoundsReport,
-    CoalescenceCertificate,
     FusionUndefinedError,
-    coalescence_certificate,
     compute_bounds,
-    kkt_necessary_margin,
     lambda1_max,
-    lambda1_sufficient_bound,
     lambda2_max,
 )
 from .criterion import (
@@ -57,11 +53,8 @@ from .pipeline import (
 from .solver import (
     SolveResult,
     SolverConfig,
-    is_coalesced,
-    max_pairwise_distance,
     merged_pairs,
     solve,
-    solve_oracle,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport",
     "ClusterAssignment",
-    "CoalescenceCertificate",
     "ConditionDataset",
     "FitReport",
     "FusionUndefinedError",
@@ -89,7 +81,6 @@ __all__ = [
     "SolverConfig",
     "SyntheticScenario",
     "build_regressor",
-    "coalescence_certificate",
     "compute_bounds",
     "cross_evaluate",
     "fit_metric",
@@ -97,16 +88,12 @@ __all__ = [
     "fusion_value_squared",
     "generate_synthetic",
     "grid_search",
-    "is_coalesced",
-    "kkt_necessary_margin",
     "kmeans",
     "lambda1_max",
-    "lambda1_sufficient_bound",
     "lambda2_max",
     "load_dataset",
     "load_manifest",
     "ls_fit",
-    "max_pairwise_distance",
     "merged_pairs",
     "objective",
     "pooled_ls_fit",
@@ -115,5 +102,4 @@ __all__ = [
     "refit_clusters",
     "run_pipeline",
     "solve",
-    "solve_oracle",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form penalty bounds and coalescence certificates.
+"""Closed-form penalty bounds.
 
 All quantities revolve around the pooled least-squares solution theta_star
 and the per-condition gradients g_k = 2 Phi_k^T (Y_k - Phi_k theta_star),
@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import sq_distances
 from .data import ParameterVector, RegressionProblem
 from .estimation import pooled_ls_fit
-
-# Floating-point slack on the unit dual-ball membership test.
-_CERT_SLACK = 1e-9
 
 
 class FusionUndefinedError(ValueError):
@@ -45,13 +41,6 @@ class BoundsReport:
                 [float(x) for x in g] for g in self.per_condition_gradients
             ],
         }
-
-
-@dataclass(frozen=True)
-class CoalescenceCertificate:
-    z_norm_max: float
-    certified: bool
-    stationarity_gap: float
 
 
 def _pooled_gradients(
@@ -82,11 +71,6 @@ def lambda2_max(problems: list[RegressionProblem]) -> float:
     return max(2.0 * float(np.abs(p.Phi.T @ p.Y).max()) for p in problems)
 
 
-def lambda1_sufficient_bound(problems: list[RegressionProblem]) -> float:
-    """Fusion weight guaranteeing the coalescence certificate passes."""
-    return _fusion_bounds(_pooled_gradients(problems)[1])[1]
-
-
 def compute_bounds(problems: list[RegressionProblem]) -> BoundsReport:
     """Both penalty bounds plus the pooled fit they are evaluated at."""
     grads, norms, star = _pooled_gradients(problems)
@@ -99,40 +83,3 @@ def compute_bounds(problems: list[RegressionProblem]) -> BoundsReport:
         lambda1_sufficient=sufficient,
     )
 
-
-def kkt_necessary_margin(
-    problems: list[RegressionProblem], lambda1: float
-) -> list[float]:
-    """Per-condition slack of the coalesced point's necessary condition.
-
-    All margins are nonnegative exactly when lambda1 >= lambda1_max.
-    """
-    _, norms, _ = _pooled_gradients(problems)
-    K = len(problems)
-    return [lambda1 - nk / (K - 1) for nk in norms]
-
-
-def coalescence_certificate(
-    problems: list[RegressionProblem], lambda1: float
-) -> CoalescenceCertificate:
-    """Constructive optimality check of the coalesced point.
-
-    The candidate dual-ball elements z_ki = (g_k - g_i) / (lambda1 K)
-    satisfy the stationarity identity sum_{i != k} z_ki = g_k / lambda1
-    algebraically (the gradients sum to zero); when additionally every
-    pair norm is at most 1 the coalesced point theta_k = theta_star is
-    optimal.
-    """
-    if lambda1 <= 0:
-        raise ValueError("lambda1 must be positive")
-    grads, _, _ = _pooled_gradients(problems)
-    G = np.asarray(grads)
-    scale = lambda1 * len(problems)
-    z_norm_max = float(np.sqrt(sq_distances(G, G).max())) / scale
-    # sum_{i != k} z_ki - g_k / lambda1 = -sum_i g_i / (lambda1 K) for every k.
-    stationarity_gap = float(np.abs(G.sum(axis=0)).max()) / scale
-    return CoalescenceCertificate(
-        z_norm_max=z_norm_max,
-        certified=z_norm_max <= 1.0 + _CERT_SLACK,
-        stationarity_gap=stationarity_gap,
-    )

@@ -10,9 +10,8 @@ penalty (pruning irrelevant coefficients):
 
 The fusion sum runs over unordered pairs, each counted once.  A smooth
 variant squares the pair distances.  Every pairwise Euclidean distance
-the package takes, here, in the solver's merge checks, the bounds'
-certificate and the clustering, comes from ``sq_distances``; only the
-solver's independent oracle computes its own.
+the package takes, here, in the solver's merge checks and in the
+clustering, comes from ``sq_distances``.
 """
 
 from __future__ import annotations

@@ -21,6 +21,14 @@ import fusedfir as ff
 from fusedfir.data import write_dataset_csv
 from fusedfir.solver import merge_threshold
 
+from reference import (
+    coalescence_certificate,
+    is_coalesced,
+    kkt_necessary_margin,
+    max_pairwise_distance,
+    solve_oracle,
+)
+
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     line = f"{'PASS' if ok else 'FAIL'} criterion {num}: {name}"
@@ -109,7 +117,7 @@ def test_criterion_2_solver_oracle_equivalence():
         lam2 = 0.5 * ff.lambda2_max(problems) if use2 else 0.0
         hp = ff.Hyperparameters(lam1, lam2)
         fast = ff.solve(problems, hp)
-        slow = ff.solve_oracle(problems, hp, iterations=100_000, seed=i)
+        slow = solve_oracle(problems, hp, iterations=100_000, seed=i)
         gap = abs(fast.objective.total - slow.objective.total) / (
             1.0 + slow.objective.total
         )
@@ -161,9 +169,9 @@ def test_criterion_5_fusion_bound_behavior():
     # (a) above the sufficient bound everything coalesces onto theta_star
     for i, problems in fusion_bound_pool():
         star = ff.pooled_ls_fit(problems).theta.values
-        suff = ff.lambda1_sufficient_bound(problems)
+        suff = ff.compute_bounds(problems).lambda1_sufficient
         result = ff.solve(problems, ff.Hyperparameters(1.05 * suff, 0.0))
-        dist = ff.max_pairwise_distance(result.thetas)
+        dist = max_pairwise_distance(result.thetas)
         assert dist <= merge_threshold(result.thetas), f"instance {i} not coalesced"
         err = max(float(np.abs(t.values - star).max()) for t in result.thetas)
         assert err <= 1e-5 * (1.0 + float(np.abs(star).max())), (
@@ -176,9 +184,9 @@ def test_criterion_5_fusion_bound_behavior():
             assert ff.ls_fit(p).gram_positive_definite
         bound = ff.lambda1_max(problems)
         star = ff.pooled_ls_fit(problems).theta.values
-        assert min(ff.kkt_necessary_margin(problems, 0.9 * bound)) < 0
+        assert min(kkt_necessary_margin(problems, 0.9 * bound)) < 0
         result = ff.solve(problems, ff.Hyperparameters(0.9 * bound, 0.0))
-        dist = ff.max_pairwise_distance(result.thetas)
+        dist = max_pairwise_distance(result.thetas)
         assert dist > 1e-3 * (1.0 + float(np.linalg.norm(star))), (
             f"instance {i}: unexpectedly coalesced below the bound"
         )
@@ -192,7 +200,7 @@ def test_criterion_5_fusion_bound_behavior():
         for _ in range(12):
             mid = 0.5 * (lo + hi)
             result = ff.solve(problems, ff.Hyperparameters(mid, 0.0))
-            if ff.is_coalesced(result.thetas):
+            if is_coalesced(result.thetas):
                 hi = mid
             else:
                 lo = mid
@@ -206,12 +214,12 @@ def test_criterion_5_fusion_bound_behavior():
     for i, K in enumerate((3, 4, 5)):
         problems = make_problems(4000 + i, K, 5, 25)
         necessary = ff.lambda1_max(problems)
-        sufficient = ff.lambda1_sufficient_bound(problems)
+        sufficient = ff.compute_bounds(problems).lambda1_sufficient
         lo, hi = 0.5 * necessary, 1.05 * sufficient
         for _ in range(16):
             mid = 0.5 * (lo + hi)
             result = ff.solve(problems, ff.Hyperparameters(mid, 0.0))
-            if ff.is_coalesced(result.thetas):
+            if is_coalesced(result.thetas):
                 hi = mid
             else:
                 lo = mid
@@ -234,13 +242,13 @@ def test_criterion_6_certificate_identity():
     worst_gap = 0.0
     for i, problems in fusion_bound_pool():
         bound = ff.lambda1_max(problems)
-        suff = ff.lambda1_sufficient_bound(problems)
+        suff = ff.compute_bounds(problems).lambda1_sufficient
         for lam in (0.9 * bound, 1.05 * suff):
-            cert = ff.coalescence_certificate(problems, lam)
+            cert = coalescence_certificate(problems, lam)
             worst_gap = max(worst_gap, cert.stationarity_gap)
             assert cert.stationarity_gap <= 1e-10
         for lam in (suff, 1.5 * suff):
-            assert ff.coalescence_certificate(problems, lam).certified
+            assert coalescence_certificate(problems, lam).certified
     report(6, "certificate stationarity identity and sufficiency", True,
            f"worst identity gap {worst_gap:.2e}")
 

@@ -9,18 +9,15 @@ from fusedfir import (
     ModelStructure,
     RegressionProblem,
     SolverConfig,
-    coalescence_certificate,
     compute_bounds,
-    is_coalesced,
-    kkt_necessary_margin,
     lambda1_max,
-    lambda1_sufficient_bound,
     lambda2_max,
     objective,
     solve,
 )
 
 from conftest import random_problems, scalar_pair
+from reference import coalescence_certificate, is_coalesced, kkt_necessary_margin
 
 
 def problem(Phi, Y, name="C0-1"):
@@ -144,7 +141,7 @@ class TestCertificate:
     def test_sufficient_bound_always_certifies(self):
         for seed in range(5):
             problems = random_problems(30 + seed, K=2 + seed % 3, n=5, M=20)
-            suff = lambda1_sufficient_bound(problems)
+            suff = compute_bounds(problems).lambda1_sufficient
             for factor in (1.0, 1.3, 4.0):
                 cert = coalescence_certificate(problems, factor * suff)
                 assert cert.certified
@@ -168,12 +165,12 @@ class TestBoundRelations:
     def test_sufficient_to_necessary_ratio(self):
         for K in (2, 3, 4, 6):
             problems = random_problems(50 + K, K=K, n=4, M=14)
-            ratio = lambda1_sufficient_bound(problems) / lambda1_max(problems)
+            ratio = compute_bounds(problems).lambda1_sufficient / lambda1_max(problems)
             assert ratio == pytest.approx(2.0 * (K - 1) / K, rel=1e-9)
 
     def test_k2_sufficient_equals_necessary(self):
         problems = random_problems(60, K=2, n=5, M=18)
-        assert lambda1_sufficient_bound(problems) == pytest.approx(
+        assert compute_bounds(problems).lambda1_sufficient == pytest.approx(
             lambda1_max(problems), rel=1e-12
         )
 

@@ -12,16 +12,13 @@ from fusedfir import (
     ParameterVector,
     RegressionProblem,
     SolverConfig,
-    is_coalesced,
     lambda1_max,
     lambda2_max,
     ls_fit,
-    max_pairwise_distance,
     merged_pairs,
     objective,
     pooled_ls_fit,
     solve,
-    solve_oracle,
 )
 import fusedfir.solver
 from fusedfir.solver import (
@@ -38,6 +35,7 @@ from fusedfir.solver import (
 )
 
 from conftest import random_problems, scalar_pair
+from reference import is_coalesced, max_pairwise_distance, solve_oracle
 
 
 class TestClosedForms:
