@@ -244,6 +244,11 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 f"manifest entry {i}: channels must be a non-empty list of strings, "
                 f"got {channels!r}"
             )
+        if len(set(channels)) != len(channels) or fields["output"] in channels:
+            raise IngestionError(
+                f"manifest entry {i} ({fields['name']!r}): channels {channels!r} must be "
+                f"distinct and must not include the output {fields['output']!r}"
+            )
         entries.append(ManifestEntry(**fields, channels=tuple(channels)))
     return entries
 

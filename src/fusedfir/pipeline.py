@@ -133,8 +133,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be non-empty")
             if any(not np.isfinite(v) or v < 0 for v in vals):
                 raise ValueError(f"{name} must be finite and nonnegative")
-            if list(vals) != sorted(vals):
-                raise ValueError(f"{name} must be sorted ascending")
+            if any(a >= b for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"{name} must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -258,48 +258,22 @@ class ClusterAssignment:
     inertia: float
 
 
-def _kmeans_pp_init(
-    X: np.ndarray, k: int, rng: np.random.Generator, sq: np.ndarray
-) -> list[int]:
-    """k-means++ seeding, one draw at a time: the indices of the k rows of
-    X chosen as centres.  Row i of ``sq`` holds the squared distances from
-    X[i] to every row of X.  ``_kmeans_pp_starts`` runs it only for the
-    jobs whose weights sum to zero or are not finite."""
-    idx = int(rng.integers(X.shape[0]))
-    chosen = [idx]
-    d2 = np.full(X.shape[0], np.inf)
-    for _ in range(k - 1):
-        d2 = np.minimum(d2, sq[idx])
-        total = float(d2.sum())
-        if not math.isfinite(total):
-            raise ValueError("k-means++ weights must be finite")
-        if total == 0.0:
-            idx = int(rng.integers(X.shape[0]))
-        else:
-            # Generator.choice(p=d2 / total)'s own draw, without its checks:
-            # the same index from the same single random() call.
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        chosen.append(idx)
-    return chosen
-
-
 def _kmeans_pp_starts(
-    X: np.ndarray, sq: np.ndarray, jobs: list[tuple[int, np.random.Generator]]
+    sq: np.ndarray, jobs: list[tuple[int, np.random.Generator]]
 ) -> list[np.ndarray]:
     """k-means++ seeding of ``_KMEANS_RESTARTS`` restarts for every job
     ``(k, rng)``, all in one batch: per job, an (restarts, k) array of the
-    row indices chosen as centres, the same bit for bit as
-    ``_kmeans_pp_init`` called once per restart on that job's generator.
+    row indices chosen as centres.  Row i of ``sq`` holds the squared
+    distances from row i to every row; its sum must be finite.
 
-    Each restart takes ``rng.integers(K)`` and then ``rng.random(k - 1)``,
-    the draws ``_kmeans_pp_init`` consumes one call at a time
-    (``Generator.random(m)`` returns the doubles of m ``random()`` calls),
-    and every step runs its arithmetic row by row.  A job whose weights
-    sum to zero (duplicate rows) or are not finite restores its generator
-    and redraws with ``_kmeans_pp_init``: only that loop redraws
-    ``integers`` on zero weights and raises on non-finite ones.
+    Each restart draws ``rng.integers(K)`` for its first centre and then
+    ``rng.random(k - 1)``, the doubles of k - 1 ``random()`` calls, one
+    per further centre: the same index ``Generator.choice(p=d2 / d2.sum())``
+    picks from the same double, where d2 holds each row's squared distance
+    to its nearest chosen centre.  Every step runs its arithmetic row by
+    row.  Where every weight of a step is zero (fewer distinct rows than
+    k), k-means++ leaves the draw undefined; that step picks a row
+    uniformly with the same double.
     """
     K, R = sq.shape[0], _KMEANS_RESTARTS
     # Rows in ascending k, so the rows still seeding at each step are a
@@ -312,14 +286,11 @@ def _kmeans_pp_starts(
     at = np.cumsum(ks) - ks
     chosen = np.empty(ks.sum(), dtype=np.intp)
     u = np.empty(chosen.size)
-    states = []
     for row, i in zip(range(0, ks.size, R), order):
         k, rng = jobs[i]
-        states.append(rng.bit_generator.state)
         for a in at[row : row + R]:
             chosen[a] = rng.integers(K)
             u[a + 1 : a + k] = rng.random(k - 1)
-    fallback = np.zeros(ks.size, dtype=bool)
     d2 = np.full((ks.size, K), np.inf)
     buf = np.empty_like(d2)  # each step's gathered rows, then its cdf
     for j in range(1, ks[-1]):
@@ -329,25 +300,19 @@ def _kmeans_pp_starts(
         # are rows of sq, so nothing is clipped).
         np.minimum(live, sq.take(chosen[pos - 1], axis=0, out=cdf, mode="clip"), out=live)
         total = live.sum(axis=1)
-        bad = ~(np.isfinite(total) & (total != 0.0))
-        if bad.any():
-            # These rows' jobs redraw below; a flat weight keeps nan and inf
-            # out of their cdf.
-            fallback[lo:] |= bad
-            live[bad] = 1.0
-            total[bad] = K
+        zero = total == 0.0
+        total[zero] = 1.0  # 0 / 1 in place of 0 / 0, which warns
         np.divide(live, total[:, None], out=cdf)
+        # Generator.choice(K, p=full(K, 1 / K)): a flat weight in the cdf
+        # only, as d2 keeps its zeros for the later steps.
+        cdf[zero] = 1.0 / K
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:].copy()  # a view would make numpy copy all of cdf
         # searchsorted(cdf, u, side="right") on each nondecreasing row.
         chosen[pos] = (cdf <= u[pos, None]).sum(axis=1)
     starts: list[np.ndarray] = [np.empty(0)] * len(jobs)
-    for row, i, state in zip(range(0, ks.size, R), order, states):
-        k, rng = jobs[i]
-        starts[i] = chosen[at[row] : at[row] + R * k].reshape(R, k)
-        if fallback[row : row + R].any():
-            rng.bit_generator.state = state
-            starts[i] = np.asarray([_kmeans_pp_init(X, k, rng, sq) for _ in range(R)])
+    for row, i in zip(range(0, ks.size, R), order):
+        starts[i] = chosen[at[row] : at[row] + R * jobs[i][0]].reshape(R, -1)
     return starts
 
 
@@ -424,26 +389,23 @@ def _kmeans_core(
 
     Seeds ``_KMEANS_RESTARTS`` restarts of every job in one batch
     (``_kmeans_pp_starts``), runs Lloyd from each start and keeps the
-    lowest inertia.  Returns per job the labels, renumbered by first
-    appearance so they do not depend on the restart that won, and that
-    inertia.
+    first restart with the lowest inertia.  Returns per job the labels,
+    renumbered by first appearance so they do not depend on the restart
+    that won, and that inertia.  Rows whose squared distances do not sum
+    to a finite value raise ValueError, whatever the k.
     """
+    if not math.isfinite(sq.sum()):
+        raise ValueError("k-means needs finite parameter vectors")
     out = []
-    for starts in _kmeans_pp_starts(X, sq, jobs):
-        best_labels: np.ndarray | None = None
-        best_inertia = np.inf
-        for chosen in starts:
-            # The centres are rows of X, so their first-pass distances are
-            # columns of sq, bit for bit.
-            labels, _, inertia = _lloyd(X, sq, sq[:, chosen])
-            if inertia < best_inertia:
-                best_inertia = inertia
-                best_labels = labels
-        if best_labels is None:
-            raise ValueError("k-means needs finite parameter vectors")
-        best = best_labels.tolist()
+    for starts in _kmeans_pp_starts(sq, jobs):
+        # The centres are rows of X, so their first-pass distances are
+        # columns of sq, bit for bit.
+        labels, _, inertia = min(
+            (_lloyd(X, sq, sq[:, chosen]) for chosen in starts), key=lambda run: run[2]
+        )
+        best = labels.tolist()
         rank = {l: i for i, l in enumerate(dict.fromkeys(best))}
-        out.append((np.asarray([rank[l] for l in best]), best_inertia))
+        out.append((np.asarray([rank[l] for l in best]), inertia))
     return out
 
 

@@ -369,6 +369,36 @@ class TestRun:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("factors,values,name", [
+        ("1e-2,1e-2", "0,0", "lambda1_factors"),
+        ("1e-2,1e-1", "0,1e-2,1e-2", "lambda2_values"),
+        ("1e-1,1e-2", "0", "lambda1_factors"),
+    ])
+    def test_repeated_grid_value_exit_2_before_any_solve(
+        self, synth_dir, tmp_path, monkeypatch, capsys, factors, values, name
+    ):
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append(a))
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"),
+                *RUN_ARGS, "--lambda1-factors", factors, "--lambda2-values", values]
+        assert main(argv) == 2
+        assert f"{name} must be strictly ascending" in capsys.readouterr().err
+        assert calls == []
+
+    def test_output_listed_as_channel_exit_2_before_any_solve(
+        self, synth_dir, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append(a))
+        manifest = json.loads((synth_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest[1]["channels"] = [*manifest[1]["channels"], manifest[1]["output"]]
+        (synth_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "o"),
+                *RUN_ARGS]
+        assert main(argv) == 2
+        assert f"manifest entry 1 ({manifest[1]['name']!r}): channels" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("k", ["0", "7"])
     def test_k_out_of_range_exit_2_before_any_solve(
         self, synth_dir, tmp_path, monkeypatch, capsys, k

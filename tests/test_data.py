@@ -331,6 +331,18 @@ class TestManifest:
             load_manifest(p)
 
 
+    @pytest.mark.parametrize("channels", [["s1", "s1"], ["s1", "s2", "y"], ["y"]])
+    def test_channels_distinct_and_not_the_output(self, tmp_path, channels):
+        # Listing the output as a channel would fit y(t) from y(t).
+        manifest = [{"name": "BR30-1", "file": "a.csv", "role": "estimation",
+                     "channels": channels, "output": "y"}]
+        p = write(tmp_path, json.dumps(manifest), name="manifest.json")
+        with pytest.raises(
+            IngestionError, match=r"manifest entry 0 \('BR30-1'\): channels .* must be distinct"
+        ):
+            load_manifest(p)
+
+
 class TestNames:
     def test_convention(self):
         assert parse_dataset_name("BR30-1") == ("BR30", 1)

@@ -35,7 +35,6 @@ from fusedfir.pipeline import (
     ScoreRow,
     _better_row,
     _kmeans_core,
-    _kmeans_pp_init,
     _kmeans_pp_starts,
     _lloyd,
     _silhouette,
@@ -157,37 +156,56 @@ class TestKmeans:
             centers = [X[int(rng.integers(X.shape[0]))]]
             for _ in range(k - 1):
                 d2 = np.min([np.sum((X - c) ** 2, axis=1) for c in centers], axis=0)
-                total = float(d2.sum())
-                if total == 0.0:
-                    idx = int(rng.integers(X.shape[0]))
-                else:
-                    idx = int(rng.choice(X.shape[0], p=d2 / total))
+                idx = int(rng.choice(X.shape[0], p=d2 / float(d2.sum())))
                 centers.append(X[idx])
             return np.asarray(centers)
 
         sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         for seed in range(5):
+            ref = np.random.default_rng(seed)
+            [starts] = _kmeans_pp_starts(sq, [(k, np.random.default_rng(seed))])
             np.testing.assert_array_equal(
-                X[_kmeans_pp_init(X, k, np.random.default_rng(seed), sq)],
-                stacked_init(np.random.default_rng(seed)),
+                X[starts],
+                [stacked_init(ref) for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)],
             )
 
-    @pytest.mark.parametrize("K", [2, 3, 5, 8])
-    def test_identical_thetas_fill_every_cluster(self, K):
-        # Every distance ties at zero, so each k >= 2 needs k - 1 hand-overs
+    @pytest.mark.parametrize(
+        "K,groups",
+        [
+            *[pytest.param(K, 1, id=str(K)) for K in (2, 3, 5, 8)],
+            *[pytest.param(K, g, id=f"{K}-rows-{g}-distinct") for K, g in
+              [(6, 2), (9, 3), (12, 4)]],
+        ],
+    )
+    def test_identical_thetas_fill_every_cluster(self, K, groups):
+        # Distances tie at zero, so a k above the distinct rows meets
+        # seeding steps whose weights are all zero and needs hand-overs,
         # and the repair must not move one point twice.
-        thetas = [vec([0.5, -1.25, 3.0]) for _ in range(K)]
+        if groups == 1:
+            thetas = [vec([0.5, -1.25, 3.0]) for _ in range(K)]
+        else:
+            thetas = [vec(row) for row in clustered_rows(K, 3, 1.0, groups, 0.0, K)]
+        X = np.asarray([t.values for t in thetas])
+        distinct = len(np.unique(X, axis=0))
         names = [f"C{i}" for i in range(K)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for k in range(2, K + 1):
+            for k in range(1, K + 1):
                 for seed in range(4):
                     out = kmeans(thetas, k=k, seed=seed, names=names)
                     assert sorted(set(out.labels.values())) == list(range(k))
-                    assert out.inertia == 0.0
-                    for c in out.centroids:
-                        np.testing.assert_array_equal(c.values, thetas[0].values)
-            assert auto_select_k(thetas, seed=0) == min(2, K)
+                    if k >= distinct:
+                        # Every cluster holds copies of one row.  A mean of
+                        # m copies of a double can round off it by an ulp
+                        # (inertia 1.5e-31 on the 6-row case), so only the
+                        # copies of 0.5, -1.25 and 3.0 give exactly 0.
+                        for c, centroid in enumerate(out.centroids):
+                            members = [i for i, name in enumerate(names) if out.labels[name] == c]
+                            assert len(np.unique(X[members], axis=0)) == 1
+                            np.testing.assert_allclose(centroid.values, X[members[0]], rtol=1e-15)
+                        assert (out.inertia == 0.0) if groups == 1 else (out.inertia < 1e-20)
+            want = min(2, K) if groups == 1 else reference_auto_select_k(thetas, 0)
+            assert auto_select_k(thetas, seed=0) == want
 
 
 def broadcast_sq(A, B):
@@ -195,9 +213,9 @@ def broadcast_sq(A, B):
 
 
 def sequential_pp_init(k, rng, sq):
-    """k-means++ seeding one draw at a time, as ``_kmeans_pp_init`` does:
-    one ``integers`` draw, then one ``random()`` call per further centre,
-    or a fresh ``integers`` draw where every weight is zero."""
+    """k-means++ seeding one draw at a time: one ``integers`` draw, then
+    one ``random()`` call per further centre, used as ``Generator.choice``
+    uses it, with a flat weight where every weight is zero."""
     K = sq.shape[0]
     idx = int(rng.integers(K))
     chosen = [idx]
@@ -206,13 +224,10 @@ def sequential_pp_init(k, rng, sq):
         d2 = np.minimum(d2, sq[idx])
         total = float(d2.sum())
         if not math.isfinite(total):
-            raise ValueError("k-means++ weights must be finite")
-        if total == 0.0:
-            idx = int(rng.integers(K))
-        else:
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
+            raise ValueError("k-means needs finite parameter vectors")
+        cdf = (d2 / total if total else np.full(K, 1.0 / K)).cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
     return chosen
 
@@ -257,14 +272,14 @@ def sequential_kmeans(X, k, seed):
     bit-for-bit reference for ``_kmeans_core``.  Returns the labels,
     numbered by first appearance, and the lowest inertia."""
     sq = broadcast_sq(X, X)
+    if not math.isfinite(sq.sum()):
+        raise ValueError("k-means needs finite parameter vectors")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(fusedfir.pipeline._KMEANS_RESTARTS):
         labels, inertia = sequential_lloyd(X, sq[:, sequential_pp_init(k, rng, sq)])
         if inertia < best_inertia:
             best_labels, best_inertia = labels.tolist(), inertia
-    if best_labels is None:
-        raise ValueError("k-means needs finite parameter vectors")
     first = list(dict.fromkeys(best_labels))
     return [first.index(l) for l in best_labels], best_inertia
 
@@ -421,22 +436,22 @@ class TestVectorisedClustering:
         sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
 
         def choice_init(rng):
-            idx = int(rng.integers(X.shape[0]))
+            K = X.shape[0]
+            idx = int(rng.integers(K))
             chosen = [idx]
-            d2 = np.full(X.shape[0], np.inf)
+            d2 = np.full(K, np.inf)
             for _ in range(k - 1):
                 d2 = np.minimum(d2, sq[idx])
                 total = float(d2.sum())
-                if total == 0.0:
-                    idx = int(rng.integers(X.shape[0]))
-                else:
-                    idx = int(rng.choice(X.shape[0], p=d2 / total))
+                idx = int(rng.choice(K, p=d2 / total if total else np.full(K, 1.0 / K)))
                 chosen.append(idx)
             return X[chosen]
 
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        [starts] = _kmeans_pp_starts(sq, [(k, got_rng)])
         np.testing.assert_array_equal(
-            X[_kmeans_pp_init(X, k, got_rng, sq)], choice_init(want_rng)
+            X[starts],
+            [choice_init(want_rng) for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)],
         )
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -459,11 +474,16 @@ class TestVectorisedClustering:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kmeans_pp_rejects_non_finite_weights(self, seed):
+        # The check runs once, before the seeding, for every k.
         X = np.asarray([[0.0], [np.inf], [1.0]])
         with np.errstate(invalid="ignore"):
             sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        with pytest.raises(ValueError, match="finite"):
-            _kmeans_pp_init(X, 2, np.random.default_rng(seed), sq)
+        for k in (1, 2):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="^k-means needs finite parameter vectors$"):
+                _kmeans_core(X, sq, [(k, rng)])
+            assert rng.bit_generator.state == state
 
     def test_auto_select_k_builds_one_distance_matrix(self, monkeypatch):
         matrices = []
@@ -576,12 +596,12 @@ class TestBatchedSeeding:
     )
     def test_one_batch_matches_each_job_alone(self, K, distinct, seed, data):
         # Jobs in any k order, repeated k among them; a k above the number
-        # of distinct rows meets zero weights and redraws one at a time.
+        # of distinct rows meets steps whose weights are all zero.
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((distinct, 3))[rng.integers(distinct, size=K)]
         ks = data.draw(st.lists(st.integers(1, K), min_size=1, max_size=6))
         jobs = [(k, np.random.default_rng([seed, i])) for i, k in enumerate(ks)]
-        starts = _kmeans_pp_starts(X, sq_distances(X, X), jobs)
+        starts = _kmeans_pp_starts(sq_distances(X, X), jobs)
         for i, (k, job_rng) in enumerate(jobs):
             ref = np.random.default_rng([seed, i])
             want = [
@@ -591,40 +611,15 @@ class TestBatchedSeeding:
             np.testing.assert_array_equal(starts[i], want)
             assert job_rng.bit_generator.state == ref.bit_generator.state
 
-    @staticmethod
-    def count_pp_init(monkeypatch):
-        ks = []
-        real = fusedfir.pipeline._kmeans_pp_init
-
-        def counting(X, k, rng, sq):
-            ks.append(k)
-            return real(X, k, rng, sq)
-
-        monkeypatch.setattr(fusedfir.pipeline, "_kmeans_pp_init", counting)
-        return ks
-
-    def test_distinct_models_never_seed_one_draw_at_a_time(self, monkeypatch):
-        calls = self.count_pp_init(monkeypatch)
-        X = clustered_rows(24, 15, 1.0, 4, 1e-3, 5)
-        thetas = [vec(row) for row in X]
-        assert auto_select_k(thetas, seed=7) == reference_auto_select_k(thetas, 7)
-        out = kmeans(thetas, 4, seed=7)
-        assert ([out.labels[str(i)] for i in range(24)], out.inertia) == sequential_kmeans(X, 4, 7)
-        assert calls == []
-
-    def test_duplicate_models_redraw_and_match(self, monkeypatch):
-        calls = self.count_pp_init(monkeypatch)
+    def test_duplicate_models_redraw_and_match(self):
+        # 3 distinct rows: every k above 3 meets steps whose weights are
+        # all zero.
         X = clustered_rows(12, 5, 1.0, 3, 0.0, 9)
-        distinct = len(np.unique(X, axis=0))
         thetas = [vec(row) for row in X]
         assert auto_select_k(thetas, seed=2) == reference_auto_select_k(thetas, 2)
         for k in range(1, 13):
             out = kmeans(thetas, k, seed=k)
             assert ([out.labels[str(i)] for i in range(12)], out.inertia) == sequential_kmeans(X, k, k)
-        # Only a k above the distinct rows meets zero weights, and such a
-        # job redraws every restart.
-        assert calls and min(calls) > distinct
-        assert len(calls) % fusedfir.pipeline._KMEANS_RESTARTS == 0
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_models_raise_as_the_reference_does(self, bad):
@@ -638,7 +633,7 @@ class TestBatchedSeeding:
                 with pytest.raises(ValueError) as got:
                     kmeans(thetas, k, seed=k)
                 assert str(got.value) == str(want.value)
-            with pytest.raises(ValueError, match="k-means\\+\\+ weights must be finite"):
+            with pytest.raises(ValueError, match="^k-means needs finite parameter vectors$"):
                 auto_select_k(thetas, seed=0)
 
 
@@ -651,6 +646,16 @@ class TestGridSearch:
             for v, e in zip(val, est)
         ]
         return est, val
+
+    @pytest.mark.parametrize(
+        "factors,values",
+        [((1e-2, 1e-2), (0.0,)), ((1e-2,), (0.0, 0.0)), ((1e-1, 1e-2), (0.0,)), ((1e-2,), (1.0, 0.0))],
+    )
+    def test_grid_values_strictly_ascending(self, factors, values):
+        # A repeated value would solve the same point twice from different
+        # warm starts and report two scores for it.
+        with pytest.raises(ValueError, match="must be strictly ascending"):
+            GridSpec(lambda1_factors=factors, lambda2_values=values)
 
     def test_single_point_grid(self):
         est, val = self._aligned(0)
