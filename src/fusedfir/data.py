@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,135 +253,101 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def parse_float_row(
-    path: str | Path, rownum: int, columns: list[str], cells: list[str]
-) -> list[float]:
-    """Finite floats from one CSV row's cells, one per column.  A non-numeric
-    or non-finite cell raises IngestionError naming the file, row and column."""
-    vals = []
-    for column, cell in zip(columns, cells):
-        cell = cell.strip()
+def read_csv_rows(path: str | Path) -> tuple[list[list[str]], IngestionError | None]:
+    """The rows ``csv.reader`` gives for a UTF-8 file, with or without a byte
+    order mark; a blank row is ``[]``, and row n of the file is item n - 1.
+
+    An unreadable or non-UTF-8 file raises IngestionError naming it.  A
+    ``csv.Error`` ends the rows early and is returned as the IngestionError,
+    naming the file and row, to raise once the rows before it are checked.
+    """
+    try:
+        # Decoded whole, so a decoding error gives its offset in the file.
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise IngestionError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        return rows, IngestionError(f"{path}: row {len(rows) + 1}: {exc}")
+    return rows, None
+
+
+def float_columns(
+    path: str | Path, header: list[str], rows: list[list[str]], rownums: Sequence[int],
+    take: Sequence[int],
+) -> np.ndarray:
+    """The cells of ``rows`` at indices ``take`` as a len(rows) x len(take)
+    array, from one ``np.array(cells, dtype=float)`` (which reads a cell as
+    ``float`` does).  Only if a row is ragged or a cell not a finite number
+    are the rows walked, to raise IngestionError for the first bad one.
+    """
+    width = len(header)
+    if set(map(len, rows)) <= {width}:
         try:
-            v = float(cell)
+            data = np.array([row[i] for row in rows for i in take], dtype=float)
+            if np.isfinite(data).all():
+                return data.reshape(len(rows), len(take))
         except ValueError:
-            raise IngestionError(
-                f"{path}: row {rownum}, column {column!r}: non-numeric cell {cell!r}"
-            ) from None
-        if not math.isfinite(v):
-            raise IngestionError(
-                f"{path}: row {rownum}, column {column!r}: non-finite value {cell!r}"
-            )
-        vals.append(v)
-    return vals
+            pass
+    for rownum, row in zip(rownums, rows):
+        if len(row) != width:
+            raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, header has {width}")
+        for i in take:
+            try:
+                finite = np.isfinite(np.array(row[i], dtype=float))
+            except ValueError:
+                finite = None
+            if not finite:
+                problem = "non-numeric cell" if finite is None else "non-finite value"
+                raise IngestionError(
+                    f"{path}: row {rownum}, column {header[i]!r}: {problem} {row[i].strip()!r}"
+                )
+    raise RuntimeError("np.array rejected cells that it accepts one at a time")
 
 
 def load_dataset(path: str | Path, entry: ManifestEntry) -> ConditionDataset:
     """Load one dataset CSV, mapping columns by header name.
 
     Expected layout: ordinal column ``t`` first, named input channels,
-    output column last; extra columns are ignored.  A UTF-8 byte order
-    mark and trailing blank rows are accepted.  A cell is a number as
-    Python's ``float`` reads it, padded or not, and may be quoted.  Text
-    that is not UTF-8 and cell-level problems (non-numeric, non-finite,
-    ragged or blank rows before data) raise IngestionError naming the file
-    and, for a cell, the offending row and column.
-
-    numpy's C reader parses a file when ``_parse_plain_csv`` finds that it
-    gives what the row loop would; every other file, and every error, goes
-    through the row loop.  Both give the same arrays bit for bit.
+    output column last; extra columns are ignored.  Trailing blank rows are
+    accepted.  A wanted cell is a finite number as Python's ``float`` reads
+    it, padded or not, and may be quoted.  Rows come from ``read_csv_rows``
+    and floats from ``float_columns``; a duplicate header, a missing
+    column or a blank row before data raises IngestionError too.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"dataset file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+    rows, broken = read_csv_rows(path)
+    if not rows:
+        raise broken or IngestionError(f"{path}: file is empty")
+    header = [h.strip() for h in rows[0]]
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise IngestionError(f"{path}: duplicate header column {h!r}")
     wanted = list(entry.channels) + [entry.output]
-    data = _parse_plain_csv(text, wanted)
-    if data is None:
-        data = _parse_csv_rows(path, wanted)
+    for name in wanted:
+        if name not in header:
+            raise IngestionError(f"{path}: header is missing column {name!r}")
+    body = rows[1:]
+    while body and not body[-1]:
+        body.pop()
+    blank = body.index([]) if [] in body else len(body)
+    data = float_columns(
+        path, header, body[:blank], range(2, blank + 2), [header.index(n) for n in wanted]
+    )
+    if blank < len(body):
+        raise IngestionError(f"{path}: row {blank + 2} is blank but data follows")
+    if broken or not len(data):
+        raise broken or IngestionError(f"{path}: no data rows")
     return ConditionDataset(
         name=entry.name,
         inputs=data[:, : len(entry.channels)],
         output=data[:, -1],
         channel_names=entry.channels,
     )
-
-
-def _parse_plain_csv(text: str, wanted: list[str]) -> np.ndarray | None:
-    """The ``wanted`` columns of a dataset's text (newlines translated), read
-    by numpy's C reader; None unless that is what the row loop would give.
-
-    It is when the text has no ``"``, the header has no duplicate and every
-    wanted column, no blank line comes before the last row, every row has
-    the header's cell count and every cell, wanted or not, is a number
-    numpy reads as finite.
-    """
-    # loadtxt skips blank lines, which the loop rejects before data; it
-    # rejects a whitespace-only or ragged line itself.
-    text = text.rstrip("\n")
-    if '"' in text or "\n\n" in text:
-        return None
-    head, _, body = text.partition("\n")
-    header = [h.strip() for h in head.split(",")]
-    # csv reads an empty line as no cells at all.
-    if not head or not body or len(set(header)) != len(header):
-        return None
-    if not set(wanted) <= set(header):
-        return None
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        return None
-    if data.shape[1] != len(header) or not np.isfinite(data).all():
-        return None
-    return data[:, [header.index(name) for name in wanted]]
-
-
-def _parse_csv_rows(path: Path, wanted: list[str]) -> np.ndarray:
-    """The ``wanted`` columns of a dataset CSV, read row by row with ``csv``."""
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty") from None
-        except csv.Error as exc:
-            raise IngestionError(f"{path}: row 1: {exc}") from None
-        header = [h.strip() for h in header]
-        seen: set[str] = set()
-        for h in header:
-            if h in seen:
-                raise IngestionError(f"{path}: duplicate header column {h!r}")
-            seen.add(h)
-        col_index = {h: i for i, h in enumerate(header)}
-        for name in wanted:
-            if name not in col_index:
-                raise IngestionError(f"{path}: header is missing column {name!r}")
-        take = [col_index[name] for name in wanted]
-
-        rows: list[list[float]] = []
-        blank = None  # first blank row; only trailing ones are accepted
-        rownum = 1  # the last row read; csv raises while reading the next
-        try:
-            for rownum, row in enumerate(reader, start=2):
-                if not row:
-                    blank = blank or rownum
-                    continue
-                if blank is not None:
-                    raise IngestionError(f"{path}: row {blank} is blank but data follows")
-                if len(row) != len(header):
-                    raise IngestionError(
-                        f"{path}: row {rownum} has {len(row)} cells, header has "
-                        f"{len(header)}"
-                    )
-                rows.append(parse_float_row(path, rownum, wanted, [row[i] for i in take]))
-        except csv.Error as exc:
-            raise IngestionError(f"{path}: row {rownum + 1}: {exc}") from None
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
 
 
 def write_dataset_csv(ds: ConditionDataset, path: str | Path) -> None:

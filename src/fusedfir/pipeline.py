@@ -28,9 +28,10 @@ from .data import (
     RegressionProblem,
     build_regressor,
     condition_of,
+    float_columns,
     load_dataset,
     load_manifest,
-    parse_float_row,
+    read_csv_rows,
 )
 from .estimation import LsFit, pooled_ls_fit
 from .solver import SolveResult, SolverConfig, merged_pairs, solve
@@ -395,7 +396,8 @@ def _kmeans_core(
     to a finite value raise ValueError, whatever the k.
     """
     if not math.isfinite(sq.sum()):
-        raise ValueError("k-means needs finite parameter vectors")
+        what = "squared distances overflow on finite" if np.isfinite(X).all() else "needs finite"
+        raise ValueError(f"k-means {what} parameter vectors")
     out = []
     for starts in _kmeans_pp_starts(sq, jobs):
         # The centres are rows of X, so their first-pass distances are
@@ -788,30 +790,32 @@ def write_theta_csv(path: str | Path, names: list[str], thetas: list[ParameterVe
 def read_theta_csv(path: str | Path, structure: ModelStructure) -> dict[str, ParameterVector]:
     """Models of a theta CSV written by ``write_theta_csv``, by name.
 
-    Blank rows are skipped.  A ragged row, a non-numeric or non-finite
-    cell, or a repeated name raises IngestionError naming the row.
+    Columns go by position: the name, then the coefficients.  Blank rows
+    are skipped.  Read by ``data.read_csv_rows`` and ``data.float_columns``,
+    as datasets are; a repeated name raises IngestionError too.
     """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = [(rownum, row) for rownum, row in enumerate(csv.reader(fh), start=1) if row]
+    rows, broken = read_csv_rows(path)
+    rownums = [n for n, row in enumerate(rows, start=1) if row]
+    rows = [row for row in rows if row]
     if not rows:
-        raise IngestionError(f"{path}: empty theta CSV")
-    header = rows[0][1]
+        raise broken or IngestionError(f"{path}: empty theta CSV")
+    header, body = rows[0], rows[1:]
     if len(header) - 1 != structure.n_theta:
         raise IngestionError(
             f"{path}: has {len(header) - 1} coefficients per row, structure "
             f"requires {structure.n_theta}"
         )
-    models: dict[str, ParameterVector] = {}
-    for rownum, row in rows[1:]:
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
-            )
-        if row[0] in models:
-            raise IngestionError(f"{path}: model {row[0]!r} is listed twice")
-        values = parse_float_row(path, rownum, header[1:], row[1:])
-        models[row[0]] = ParameterVector(np.asarray(values), structure)
-    return models
+    names = [row[0] for row in body]
+    repeat = next((i for i, n in enumerate(names) if n in names[:i]), len(body))
+    # Rows up to a repeated name are checked first; a ragged repeat reports
+    # its cell count, as any ragged row does.
+    end = repeat + (repeat < len(body) and len(body[repeat]) != len(header))
+    values = float_columns(path, header, body[:end], rownums[1:], range(1, len(header)))
+    if repeat < len(body):
+        raise IngestionError(f"{path}: model {names[repeat]!r} is listed twice")
+    if broken:
+        raise broken
+    return {name: ParameterVector(v, structure) for name, v in zip(names, values)}
 
 
 def write_fit_matrix_csv(path: str | Path, reports: list[FitReport]) -> None:

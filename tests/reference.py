@@ -5,19 +5,24 @@ subgradient descent with diminishing steps and best-iterate tracking,
 sharing only objective evaluation with ``fusedfir.solve``.
 ``coalescence_certificate`` checks the bounds' theory constructively:
 it builds dual-ball elements that prove the coalesced point optimal.
-The remaining helpers restate, in test terms, what the package
+``parse_csv_rows`` is the dataset reader's oracle: it reads a CSV row by
+row and converts each cell with ``float``, where ``load_dataset`` converts
+all cells in one numpy call.  The remaining helpers restate, in test terms, what the package
 computes elsewhere.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from fusedfir import (
     Hyperparameters,
+    IngestionError,
     ParameterVector,
     RegressionProblem,
     SolveResult,
@@ -253,3 +258,70 @@ def solve_oracle(
         dual_residual=0.0,
         trace=None,
     )
+
+
+def parse_float_row(
+    path: str | Path, rownum: int, columns: list[str], cells: list[str]
+) -> list[float]:
+    """Finite floats from one CSV row's cells, one per column.  A non-numeric
+    or non-finite cell raises IngestionError naming the file, row and column."""
+    vals = []
+    for column, cell in zip(columns, cells):
+        cell = cell.strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            raise IngestionError(
+                f"{path}: row {rownum}, column {column!r}: non-numeric cell {cell!r}"
+            ) from None
+        if not math.isfinite(v):
+            raise IngestionError(
+                f"{path}: row {rownum}, column {column!r}: non-finite value {cell!r}"
+            )
+        vals.append(v)
+    return vals
+
+
+def parse_csv_rows(path: Path, wanted: list[str]) -> np.ndarray:
+    """The ``wanted`` columns of a dataset CSV, read row by row with ``csv``."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row 1: {exc}") from None
+        header = [h.strip() for h in header]
+        seen: set[str] = set()
+        for h in header:
+            if h in seen:
+                raise IngestionError(f"{path}: duplicate header column {h!r}")
+            seen.add(h)
+        col_index = {h: i for i, h in enumerate(header)}
+        for name in wanted:
+            if name not in col_index:
+                raise IngestionError(f"{path}: header is missing column {name!r}")
+        take = [col_index[name] for name in wanted]
+
+        rows: list[list[float]] = []
+        blank = None  # first blank row; only trailing ones are accepted
+        rownum = 1  # the last row read; csv raises while reading the next
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                if not row:
+                    blank = blank or rownum
+                    continue
+                if blank is not None:
+                    raise IngestionError(f"{path}: row {blank} is blank but data follows")
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {rownum} has {len(row)} cells, header has "
+                        f"{len(header)}"
+                    )
+                rows.append(parse_float_row(path, rownum, wanted, [row[i] for i in take]))
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row {rownum + 1}: {exc}") from None
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)

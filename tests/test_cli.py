@@ -491,6 +491,25 @@ class TestEval:
         argv = ["eval", "--manifest", str(synth_dir / "manifest.json"), "--taps", "3", "--thetas", str(thetas)]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (None, "No such file or directory"),
+            (b"A,1\xe9,0,0,0,0,0\n", "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"),
+            (b'A,"{long}",0,0,0,0,0\n', "row 2: field larger than field limit"),
+        ],
+        ids=["missing", "not-utf8", "over-field-limit"],
+    )
+    def test_bad_theta_file_exit_2_names_file(self, synth_dir, tmp_path, capsys, row, message):
+        thetas = tmp_path / "thetas.csv"
+        if row is not None:
+            header = "name," + ",".join(f"theta_{i}" for i in range(6)) + "\n"
+            long = b"1" * (csv.field_size_limit() + 1)
+            thetas.write_bytes(header.encode() + row.replace(b"{long}", long))
+        argv = ["eval", "--manifest", str(synth_dir / "manifest.json"), "--taps", "3", "--thetas", str(thetas)]
+        assert main(argv) == 2
+        assert f"error: {thetas}: {message}" in capsys.readouterr().err
+
     def test_name_with_comma_and_quote_round_trips(self, synth_dir, tmp_path, capsys):
         # One condition's estimation and validation datasets share a name
         # that CSV must quote.

@@ -23,10 +23,10 @@ from fusedfir import (
     load_dataset,
     load_manifest,
 )
-import fusedfir.data
 from fusedfir.cli import main
 from fusedfir.data import condition_of, parse_dataset_name, write_dataset_csv
 
+from reference import parse_csv_rows
 from test_cli import RUN_ARGS, write_scenario
 
 
@@ -171,8 +171,8 @@ class TestLoadDataset:
         np.testing.assert_array_equal(back.output, ds.output)
 
 
-# Cells the row loop reads or rejects in its own way: padded numbers,
-# numbers numpy's reader does not take, quoted cells and bad cells.
+# Cells a reader may get wrong: padded numbers, numbers in unusual forms,
+# quoted cells and bad cells.
 ODD_CELLS = [
     "+1", ".5", "5.", "-0", " 1.5 ", "\t2", "3\x0c", "\xa04", "1e-400", "0x10",
     "1_000", '"1.5"', '" 2 "', '""', "", " ", "#1", "# 1", "1 2", "abc",
@@ -231,6 +231,9 @@ def load_outcome(path, e):
 
 
 class TestCReader:
+    """``load_dataset`` against the row-by-row oracle, and the premise that
+    lets numpy's C conversion stand in for ``float``."""
+
     @settings(max_examples=300)
     @given(text=dataset_texts())
     @example(text="t,s1,y\n\n1,0.5,10\n")
@@ -243,24 +246,44 @@ class TestCReader:
         path = tmp_path_factory.mktemp("diff") / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         e = entry(channels=("s1", "s2") if "s2" in text else ("s1",))
-        got = load_outcome(path, e)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fusedfir.data, "_parse_plain_csv", lambda text, wanted: None)
-            want = load_outcome(path, e)
-        assert got == want
+        try:
+            data = parse_csv_rows(path, [*e.channels, e.output])
+        except IngestionError as exc:
+            want = str(exc)
+        else:
+            inputs = data[:, : len(e.channels)]
+            want = inputs.shape, inputs.tobytes(), data[:, -1].tobytes()
+        assert load_outcome(path, e) == want
 
-    def test_written_dataset_skips_row_loop(self, tmp_path, monkeypatch):
-        ds = generate_synthetic(two_group_scenario(seed=3, samples=40))[0]
-        path = tmp_path / "d.csv"
-        write_dataset_csv(ds, path)
+    @settings(max_examples=300)
+    @given(
+        cells=st.lists(
+            st.one_of(
+                st.floats().map(repr),
+                st.floats().map(lambda v: f"{v:.17g}"),
+                st.sampled_from(ODD_CELLS),
+            ),
+            max_size=8,
+        )
+    )
+    @example(cells=ODD_CELLS)
+    def test_numpy_converts_cells_as_float_does(self, cells):
+        # The premise of the one conversion: np.array(cells, dtype=float)
+        # accepts a list exactly when float() accepts every cell, gives
+        # float()'s value bit for bit, and converts one cell alone alike.
+        def outcome(convert, cell):
+            try:
+                return np.float64(convert(cell)).tobytes()
+            except ValueError:
+                return None
 
-        def refuse(*args):
-            raise AssertionError("the row loop parsed a well-formed file")
-
-        monkeypatch.setattr(fusedfir.data, "parse_float_row", refuse)
-        back = load_dataset(path, entry(channels=ds.channel_names))
-        assert back.inputs.tobytes() == ds.inputs.tobytes()
-        assert back.output.tobytes() == ds.output.tobytes()
+        want = [outcome(float, cell) for cell in cells]
+        assert [outcome(lambda c: np.array(c, dtype=float), cell) for cell in cells] == want
+        try:
+            got = [v.tobytes() for v in np.array(cells, dtype=float)]
+        except ValueError:
+            got = None
+        assert got == (None if None in want else want)
 
     @pytest.mark.parametrize("body", ["t,s1,y\n1,0.5,10\n", 't,s1,y\n1,"0.5",10\n'])
     def test_non_utf8_names_file(self, tmp_path, body):
@@ -289,6 +312,27 @@ class TestCsvFieldLimit:
             IngestionError, match=rf"d\.csv: row {row}: field larger than field limit"
         ):
             load_dataset(p, entry())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,abc,10,a", "2,1.5,20,{long}"],
+            ["1,0.5,10,a", "2,1.5", "3,1.5,20,{long}"],
+            ["1,0.5,10,a", "", "2,1.5,20,b", "3,1.5,20,{long}"],
+            ["1,0.5,10,a", "", "", "3,1.5,20,{long}"],
+            ["1,0.5,10,a", "3,1.5,20,{long}", "4,x,1,1"],
+        ],
+    )
+    def test_defects_reported_in_row_order_as_row_loop(self, tmp_path, rows):
+        # The rows before a csv error are checked before it is raised.
+        long = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+        text = "\n".join(["t,s1,y,note", *rows]).replace("{long}", long) + "\n"
+        p = write(tmp_path, text)
+        with pytest.raises(IngestionError) as want:
+            parse_csv_rows(p, ["s1", "y"])
+        with pytest.raises(IngestionError) as got:
+            load_dataset(p, entry())
+        assert str(got.value) == str(want.value)
 
 
 class TestManifest:

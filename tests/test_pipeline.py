@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
@@ -636,6 +637,16 @@ class TestBatchedSeeding:
             with pytest.raises(ValueError, match="^k-means needs finite parameter vectors$"):
                 auto_select_k(thetas, seed=0)
 
+    def test_overflowing_distances_of_finite_models_say_so(self):
+        thetas = [vec([v]) for v in (1e200, -1e200, 1e200, 3.0)]
+        message = "^k-means squared distances overflow on finite parameter vectors$"
+        with np.errstate(over="ignore"):
+            for k in (1, 2):
+                with pytest.raises(ValueError, match=message):
+                    kmeans(thetas, k, seed=k)
+            with pytest.raises(ValueError, match=message):
+                auto_select_k(thetas, seed=0)
+
 
 class TestGridSearch:
     def _aligned(self, seed, K=2, n=3, M=12):
@@ -914,12 +925,25 @@ class TestOutputFiles:
             ("A,1,x\n", "row 2, column 'theta_1': non-numeric cell 'x'"),
             ("A,nan,1\n", "row 2, column 'theta_0': non-finite value 'nan'"),
             ("A,1,-inf\n", "row 2, column 'theta_1': non-finite value '-inf'"),
+            ('A,"{long}",2\n', f"row 2: field larger than field limit ({csv.field_size_limit()})"),
+            # The first defect in row order is reported; blank rows are
+            # skipped but counted.
+            ('A,x,1\n\nB,"{long}",2\n', "row 2, column 'theta_0': non-numeric cell 'x'"),
+            ("A,1,2\n\nB,1,nan\n", "row 4, column 'theta_1': non-finite value 'nan'"),
+            ("A,1,2\nA,1,x\n", "model 'A' is listed twice"),
+            ("A,1,x\nA,1,2\n", "row 2, column 'theta_1': non-numeric cell 'x'"),
+            ("A,1,2\nA,1\n", "row 3 has 2 cells, header has 3"),
         ],
-        ids=["short", "long", "non-numeric", "nan", "inf"],
+        ids=[
+            "short", "long", "non-numeric", "nan", "inf", "over-field-limit",
+            "bad-cell-then-over-limit", "after-blank", "repeat-then-bad-cell",
+            "bad-cell-then-repeat", "ragged-repeat",
+        ],
     )
     def test_bad_theta_row_names_file_and_row(self, tmp_path, row, message):
         path = tmp_path / "t.csv"
-        path.write_text(self.HEADER + row, encoding="utf-8")
+        long = "1" * (csv.field_size_limit() + 1)
+        path.write_text(self.HEADER + row.replace("{long}", long), encoding="utf-8")
         with pytest.raises(IngestionError) as exc:
             read_theta_csv(path, self.S)
         assert str(exc.value) == f"{path}: {message}"
