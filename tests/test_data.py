@@ -180,6 +180,10 @@ ODD_CELLS = [
 ]
 
 
+# A quoted cell one character over csv's field limit.
+LONG_CELL = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+
+
 @st.composite
 def dataset_texts(draw):
     """The text of a dataset CSV: well-formed, or with a few defects."""
@@ -242,6 +246,12 @@ class TestCReader:
     @example(text="t,s1,y\n1,0.5,10\n2,1.5\n")
     @example(text="t,s1,y,x\nnan,0.5,10,inf\n")
     @example(text="t,s1,y\n1, 1_000 ,10\n")
+    # The rows before a csv error are checked before it is raised.
+    @example(text=f"t,s1,y,note\n1,abc,10,a\n2,1.5,20,{LONG_CELL}\n")
+    @example(text=f"t,s1,y,note\n1,0.5,10,a\n2,1.5\n3,1.5,20,{LONG_CELL}\n")
+    @example(text=f"t,s1,y,note\n1,0.5,10,a\n\n2,1.5,20,b\n3,1.5,20,{LONG_CELL}\n")
+    @example(text=f"t,s1,y,note\n1,0.5,10,a\n\n\n3,1.5,20,{LONG_CELL}\n")
+    @example(text=f"t,s1,y,note\n1,0.5,10,a\n3,1.5,20,{LONG_CELL}\n4,x,1,1\n")
     def test_same_arrays_or_error_as_row_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("diff") / "d.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -312,27 +322,6 @@ class TestCsvFieldLimit:
             IngestionError, match=rf"d\.csv: row {row}: field larger than field limit"
         ):
             load_dataset(p, entry())
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            ["1,abc,10,a", "2,1.5,20,{long}"],
-            ["1,0.5,10,a", "2,1.5", "3,1.5,20,{long}"],
-            ["1,0.5,10,a", "", "2,1.5,20,b", "3,1.5,20,{long}"],
-            ["1,0.5,10,a", "", "", "3,1.5,20,{long}"],
-            ["1,0.5,10,a", "3,1.5,20,{long}", "4,x,1,1"],
-        ],
-    )
-    def test_defects_reported_in_row_order_as_row_loop(self, tmp_path, rows):
-        # The rows before a csv error are checked before it is raised.
-        long = '"' + "1" * (csv.field_size_limit() + 1) + '"'
-        text = "\n".join(["t,s1,y,note", *rows]).replace("{long}", long) + "\n"
-        p = write(tmp_path, text)
-        with pytest.raises(IngestionError) as want:
-            parse_csv_rows(p, ["s1", "y"])
-        with pytest.raises(IngestionError) as got:
-            load_dataset(p, entry())
-        assert str(got.value) == str(want.value)
 
 
 class TestManifest:
