@@ -42,7 +42,6 @@ from .pipeline import (
     GridSearchResult,
     GridSpec,
     PipelineReport,
-    PipelineStageError,
     cross_evaluate,
     fit_metric,
     grid_search,
@@ -75,7 +74,6 @@ __all__ = [
     "ObjectiveBreakdown",
     "ParameterVector",
     "PipelineReport",
-    "PipelineStageError",
     "RegressionProblem",
     "SolveResult",
     "SolverConfig",

@@ -3,14 +3,14 @@
 Subcommands: ``synth`` (write a synthetic benchmark), ``bounds`` (penalty
 upper bounds), ``fit`` (per-condition least squares), ``run`` (the full
 pipeline), ``eval`` (cross-evaluation from stored coefficient CSVs).
-Exit codes: 0 ok, 2 data/config error, 3 unmet precondition, 4 solver
-non-convergence.
+Every command maps a typed error to its exit code through one table: 0 ok,
+2 data/config error, 3 unmet precondition, 4 solver non-convergence.  Any
+other error propagates.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from .data import (
     generate_synthetic,
     load_manifest,
     parse_dataset_name,
+    read_json,
     scenario_from_config,
     write_dataset_csv,
 )
@@ -28,7 +29,6 @@ from .estimation import ls_fit
 from .pipeline import (
     GridSearchFailedError,
     GridSpec,
-    PipelineStageError,
     SolverNotConvergedError,
     cross_evaluate,
     csv_writer,
@@ -40,7 +40,7 @@ from .pipeline import (
     write_fit_matrix_csv,
     write_theta_csv,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, SolverNumericalError
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -48,11 +48,12 @@ EXIT_PRECONDITION = 3
 EXIT_NO_CONVERGENCE = 4
 
 # Exit code of each error class, checked in order: FusionUndefinedError is
-# a ValueError, as are IngestionError and json.JSONDecodeError.
+# a ValueError, as is IngestionError, which every input file fails with; a
+# FileNotFoundError comes from an output path.
 _EXIT_CODES = (
     (FusionUndefinedError, EXIT_PRECONDITION),
     ((GridSearchFailedError, SolverNotConvergedError), EXIT_NO_CONVERGENCE),
-    ((FileNotFoundError, ValueError), EXIT_DATA),
+    ((FileNotFoundError, ValueError, SolverNumericalError), EXIT_DATA),
 )
 
 
@@ -72,8 +73,7 @@ def _role_problems(manifest_path: Path, taps: int, roles: tuple[str, ...]):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    scenario = scenario_from_config(config)
+    scenario = scenario_from_config(read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -297,15 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        # A stage failure exits by its cause, 2 if unknown; any other
-        # unknown error propagates.
-        wrapped = isinstance(exc, PipelineStageError)
-        cause = exc.cause if wrapped else exc
-        code = next((c for cls, c in _EXIT_CODES if isinstance(cause, cls)), None)
-        if code is None and not wrapped:
+        code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), None)
+        if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA if code is None else code
+        return code
 
 
 if __name__ == "__main__":

@@ -202,15 +202,33 @@ class ManifestEntry:
     output: str
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file, with or without a byte order mark.
+
+    Every input file is read here.  An unreadable or non-UTF-8 file raises
+    IngestionError naming it.
+    """
+    try:
+        # Decoded whole, so a decoding error gives its offset in the file.
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise IngestionError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_json(path: str | Path):
+    """The value of a JSON input file, read by ``read_text``; invalid JSON
+    raises IngestionError naming the file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a manifest JSON array of {name, file, role, channels, output}."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"manifest not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"manifest {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, list) or not raw:
         raise IngestionError(f"manifest {path} must be a non-empty JSON array")
     entries = []
@@ -254,20 +272,13 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 def read_csv_rows(path: str | Path) -> tuple[list[list[str]], IngestionError | None]:
-    """The rows ``csv.reader`` gives for a UTF-8 file, with or without a byte
-    order mark; a blank row is ``[]``, and row n of the file is item n - 1.
+    """The rows ``csv.reader`` gives for the text ``read_text`` reads; a
+    blank row is ``[]``, and row n of the file is item n - 1.
 
-    An unreadable or non-UTF-8 file raises IngestionError naming it.  A
-    ``csv.Error`` ends the rows early and is returned as the IngestionError,
+    A ``csv.Error`` ends the rows early and is returned as the IngestionError,
     naming the file and row, to raise once the rows before it are checked.
     """
-    try:
-        # Decoded whole, so a decoding error gives its offset in the file.
-        text = Path(path).read_bytes().decode("utf-8-sig")
-    except OSError as exc:
-        raise IngestionError(f"{path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+    text = read_text(path)
     rows: list[list[str]] = []
     try:
         rows.extend(csv.reader(io.StringIO(text, newline="")))
@@ -474,19 +485,24 @@ def generate_synthetic(scn: SyntheticScenario) -> list[ConditionDataset]:
     return datasets
 
 
-def scenario_from_config(config: dict) -> SyntheticScenario:
-    """Build a scenario from its JSON dict form (see the synth CLI command)."""
+def scenario_from_config(config) -> SyntheticScenario:
+    """Build a scenario from its JSON form (see the synth CLI command)."""
+    if not isinstance(config, dict):
+        raise IngestionError("scenario config must be a JSON object")
     try:
         structure = ModelStructure(
             taps=int(config["taps"]), channels=int(config["channels"])
         )
-        truths = tuple(
-            ParameterVector(np.asarray(v, dtype=float), structure)
-            for v in config["group_truths"]
-        )
+        truths, assignment = config["group_truths"], config["assignment"]
+        if not (isinstance(truths, list) and all(isinstance(v, list) for v in truths)):
+            raise IngestionError("scenario config: group_truths must be a list of lists")
+        if not isinstance(assignment, dict):
+            raise IngestionError("scenario config: assignment must be a JSON object")
         return SyntheticScenario(
-            group_truths=truths,
-            assignment={str(k): int(v) for k, v in config["assignment"].items()},
+            group_truths=tuple(
+                ParameterVector(np.asarray(v, dtype=float), structure) for v in truths
+            ),
+            assignment={str(k): int(v) for k, v in assignment.items()},
             noise_sigma=float(config["noise_sigma"]),
             irrelevant_channels=frozenset(
                 int(j) for j in config.get("irrelevant_channels", ())

@@ -35,7 +35,12 @@ class LsFit:
 
 def _gram_diagnostics(gram: np.ndarray) -> tuple[float | None, bool, bool]:
     """Smallest eigenvalue, positive definiteness, and whether the Gram
-    system is conditioned well enough to solve directly."""
+    system is conditioned well enough to solve directly.
+
+    Above the eigenvalue limit only a Cholesky factorization is made, and a
+    pivot below 1e-12 times the largest diagonal entry counts as singular:
+    rounding can leave an exactly singular Gram a tiny positive pivot.
+    """
     if gram.shape[0] <= _GRAM_EIG_LIMIT:
         eigs = np.linalg.eigvalsh(gram)
         min_eig, max_eig = float(eigs[0]), float(eigs[-1])
@@ -45,10 +50,10 @@ def _gram_diagnostics(gram: np.ndarray) -> tuple[float | None, bool, bool]:
         )
         return min_eig, pd, solvable
     try:
-        np.linalg.cholesky(gram)
-        return None, True, False
+        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
     except np.linalg.LinAlgError:
         return None, False, False
+    return None, bool(pivots.min() > 1e-12 * max(1.0, gram.diagonal().max())), False
 
 
 def ls_fit(p: RegressionProblem) -> LsFit:

@@ -40,15 +40,6 @@ _KMEANS_MAX_ITER = 300
 _KMEANS_RESTARTS = 10
 
 
-class PipelineStageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and the cause."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"pipeline stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 class GridSearchFailedError(RuntimeError):
     """No grid point converged, so no hyperparameters can be selected."""
 
@@ -214,6 +205,11 @@ def grid_search(
 
     if len(estimation_problems) >= 2:
         bound = lambda1_max(estimation_problems)
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"lambda1_max is {bound}: the pooled least-squares fit overflows "
+                "on the estimation data"
+            )
         lambda1_candidates = [f * bound for f in grid.lambda1_factors]
     else:
         bound = None
@@ -668,42 +664,29 @@ def run_pipeline(
 ) -> PipelineReport:
     """Run bounds, grid search, joint solve, clustering, refit, evaluation.
 
-    Every stage failure re-raises as PipelineStageError naming the stage.
-    Deterministic for fixed inputs and seed: rerunning yields a
-    byte-identical JSON report.
+    A failing stage raises its own error.  Deterministic for fixed inputs
+    and seed: rerunning yields a byte-identical JSON report.
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     cfg = cfg or SolverConfig()
     notes: list[str] = []
 
-    def stage(name: str, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            raise PipelineStageError(name, exc) from exc
-
-    conditions, estimation, validation, evaluation = stage(
-        "ingest", _ingest, manifest, structure
-    )
+    conditions, estimation, validation, evaluation = _ingest(manifest, structure)
     K = len(conditions)
     auto_k = auto_k and K > 2
     # A single condition clamps k to 1; any other k out of range fails
     # here, before the first solve.
     if k_clusters < 1 or (K >= 2 and not auto_k and k_clusters > K):
-        raise PipelineStageError(
-            "cluster", ValueError(f"k={k_clusters} out of range 1..{K}")
-        )
+        raise ValueError(f"k={k_clusters} out of range 1..{K}")
 
     if K >= 2:
-        bounds_report = stage("bounds", compute_bounds, estimation)
+        bounds_report = compute_bounds(estimation)
     else:
         bounds_report = None
         notes.append("fusion undefined for a single condition; fusion stages skipped")
 
-    search = stage(
-        "grid_search",
-        grid_search,
+    search = grid_search(
         estimation,
         validation,
         grid,
@@ -712,13 +695,10 @@ def run_pipeline(
         literal_criterion=literal_criterion,
     )
 
-    solve_result = stage("solve", solve, estimation, search.hp, cfg)
+    solve_result = solve(estimation, search.hp, cfg)
     if not solve_result.converged:
-        raise PipelineStageError(
-            "solve",
-            SolverNotConvergedError(
-                f"solver did not converge in {solve_result.iterations} iterations"
-            ),
+        raise SolverNotConvergedError(
+            f"solver did not converge in {solve_result.iterations} iterations"
         )
     # Nothing starts from the final state; at K = 48 it holds about 0.4 MB
     # through the clustering, where the run's memory peaks.
@@ -727,17 +707,14 @@ def run_pipeline(
     seeds = np.random.SeedSequence(seed).spawn(1)
     kmeans_seed = int(seeds[0].generate_state(1)[0])
     if auto_k:
-        k_used = stage("cluster", auto_select_k, solve_result.thetas, seed)
+        k_used = auto_select_k(solve_result.thetas, seed)
         notes.append(f"auto-selected k={k_used} by silhouette")
     else:
         k_used = min(k_clusters, K)
-    assignment = stage(
-        "cluster", kmeans, solve_result.thetas, k_used, kmeans_seed, conditions
-    )
-
-    categories = stage("refit", refit_clusters, estimation, assignment)
+    assignment = kmeans(solve_result.thetas, k_used, kmeans_seed, conditions)
+    categories = refit_clusters(estimation, assignment)
     models = {cat.name: cat.fit.theta for cat in categories}
-    fit_reports = stage("evaluate", cross_evaluate, models, evaluation)
+    fit_reports = cross_evaluate(models, evaluation)
 
     return PipelineReport(
         seed=seed,

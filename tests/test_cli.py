@@ -81,6 +81,30 @@ class TestSynth:
         path.write_text('{"taps": 3}', encoding="utf-8")
         assert main(["synth", str(path), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([1], "scenario config must be a JSON object"),
+            ("taps", "scenario config must be a JSON object"),
+            (dict(SCENARIO, assignment=[1]), "assignment must be a JSON object"),
+            (dict(SCENARIO, group_truths=[1.0, 0.5]), "group_truths must be a list of lists"),
+            (dict(SCENARIO, group_truths=3), "group_truths must be a list of lists"),
+        ],
+        ids=["array", "string", "assignment-array", "truths-flat", "truths-number"],
+    )
+    def test_bad_config_shape_exit_2_names_field(self, tmp_path, capsys, config, message):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["synth", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        path = write_scenario(tmp_path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["synth", str(path), "--out", str(tmp_path / "data")]) == 0
+
 
 @pytest.fixture
 def synth_dir(tmp_path):
@@ -178,6 +202,27 @@ class TestFitCommand:
             captured = capsys.readouterr()
             assert "Out of range float values are not JSON compliant" in captured.err
             assert captured.out == ""
+        assert not out.exists()
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_values_run_exit_2_naming_lambda1_max(self, tmp_path, capsys):
+        # The pooled fit behind lambda1_max overflows, so no weight grid exists.
+        rows = ["t,s1,y"] + [f"{i},{(-1) ** i * (1 + i % 3)}e160,{i % 5}e160" for i in range(30)]
+        manifest = []
+        for name in ("BR30-1", "BR30-2", "BR40-1", "BR40-2"):
+            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+            role = "estimation" if name.endswith("-1") else "validation"
+            manifest.append({"name": name, "file": f"{name}.csv", "role": role,
+                             "channels": ["s1"], "output": "y"})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "run"
+        argv = ["run", "--manifest", str(path), "--out", str(out), "--taps", "2", "--k", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: lambda1_max is nan: the pooled least-squares fit overflows" in captured.err
+        assert "bounds:" not in captured.out
         assert not out.exists()
 
 
@@ -463,6 +508,50 @@ class TestMalformedManifest:
             argv += ["--out", str(tmp_path / "o"), *RUN_ARGS]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+class TestInputFiles:
+    """Manifests, scenario configs, datasets and theta files are all read by
+    ``data.read_text``: each failure is an exit 2 naming the file."""
+
+    @staticmethod
+    def argv(command, path, tmp_path):
+        return {
+            "run": ["run", "--manifest", str(path), "--out", str(tmp_path / "o"), *RUN_ARGS],
+            "eval": ["eval", "--manifest", str(path), "--taps", "3",
+                     "--thetas", str(tmp_path / "thetas.csv")],
+            "synth": ["synth", str(path), "--out", str(tmp_path / "o")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["run", "eval", "synth"])
+    def test_directory_exit_2_names_path(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.mkdir()
+        assert main(self.argv(command, path, tmp_path)) == 2
+        assert f"error: {path}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_non_utf8_manifest_exit_2_names_file(self, synth_dir, tmp_path, capsys, command):
+        path = synth_dir / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b"BR30-1", b"BR\xe90-1"))
+        assert main(self.argv(command, path, tmp_path)) == 2
+        assert f"error: {path}: not UTF-8 text: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_invalid_json_exit_2_names_file(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_text('{"taps": 3,', encoding="utf-8")
+        assert main(self.argv(command, path, tmp_path)) == 2
+        assert f"error: {path}: not valid JSON: " in capsys.readouterr().err
+
+    def test_manifest_with_byte_order_mark(self, synth_dir, capsys):
+        path = synth_dir / "manifest.json"
+        plain = main(["bounds", "--manifest", str(path), "--taps", "3"]), capsys.readouterr().out
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = main(["bounds", "--manifest", str(path), "--taps", "3"]), capsys.readouterr().out
+        assert marked == plain
+        assert plain[0] == 0
 
 
 class TestEval:

@@ -351,8 +351,10 @@ class TestManifest:
             load_manifest(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IngestionError, match="not found"):
-            load_manifest(tmp_path / "nope.json")
+        path = tmp_path / "nope.json"
+        with pytest.raises(IngestionError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: No such file or directory"
 
     @pytest.mark.parametrize("char", ["\r", "\n", "\t", "\x00", "\x7f"])
     def test_non_printable_name(self, tmp_path, char):

@@ -106,6 +106,26 @@ class TestSolvePaths:
         )
 
 
+class TestLargeGram:
+    """Above 512 unknowns the Gram matrix is only Cholesky-factored: no
+    smallest eigenvalue, and ``lstsq`` always gives theta."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_rank_and_duplicated_column(self, seed):
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((600, 513))
+        Y = rng.standard_normal(600)
+        fit = ls_fit(problem(Phi, Y))
+        assert fit.gram_min_eig is None
+        assert fit.gram_positive_definite
+        np.testing.assert_array_equal(fit.theta.values, np.linalg.lstsq(Phi, Y, rcond=None)[0])
+
+        Phi[:, 400] = Phi[:, 100]
+        fit = ls_fit(problem(Phi, Y))
+        assert fit.gram_min_eig is None
+        assert not fit.gram_positive_definite
+
+
 class TestPooled:
     def test_two_identity_conditions_average(self):
         p1 = problem(np.eye(2), [1.0, 1.0])

@@ -1066,9 +1066,7 @@ class TestRunPipeline:
         scn = small_scenario()
         datasets = [d for d in generate_synthetic(scn) if d.name != "BR30-2"]
         manifest = write_manifest(tmp_path, datasets)
-        from fusedfir import PipelineStageError
-
-        with pytest.raises(PipelineStageError, match="ingest"):
+        with pytest.raises(IngestionError, match="missing validation"):
             run_pipeline(manifest, scn.structure, GridSpec(), 2, SolverConfig(), seed=0)
 
     def test_evaluation_role_used_when_present(self, tmp_path):
