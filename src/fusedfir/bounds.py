@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ParameterVector, RegressionProblem
+from .data import ParameterVector, RegressionProblem, shared_structure
 from .estimation import pooled_ls_fit
 
 
@@ -66,8 +66,7 @@ def lambda1_max(problems: list[RegressionProblem]) -> float:
 
 def lambda2_max(problems: list[RegressionProblem]) -> float:
     """Sparsity weight above which the all-zero solution is optimal."""
-    if not problems:
-        raise ValueError("need at least one problem")
+    shared_structure(problems, "problem")
     return max(2.0 * float(np.abs(p.Phi.T @ p.Y).max()) for p in problems)
 
 

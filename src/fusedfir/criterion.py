@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import ParameterVector, RegressionProblem
+from .data import ParameterVector, RegressionProblem, shared_structure, stack_values
 
 FusionVariant = Literal["l2", "l2_squared"]
 
@@ -80,19 +80,9 @@ def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
 
 
-def _shared_stack(thetas: list[ParameterVector]) -> np.ndarray:
-    if not thetas:
-        raise ValueError("need at least one parameter vector")
-    structure = thetas[0].structure
-    for t in thetas:
-        if t.structure != structure:
-            raise ValueError("parameter vectors must share one structure")
-    return np.asarray([t.values for t in thetas])
-
-
 def fusion_value(thetas: list[ParameterVector]) -> float:
     """Sum of pairwise Euclidean distances, one term per unordered pair."""
-    S = _shared_stack(thetas)
+    S = stack_values(thetas)
     total = 0.0
     # One row at a time, in pair_list order: no (K, K, n) temporary, and
     # adding a condition adds exactly its own row's sum.
@@ -103,7 +93,7 @@ def fusion_value(thetas: list[ParameterVector]) -> float:
 
 def fusion_value_squared(thetas: list[ParameterVector]) -> float:
     """Sum of squared pairwise Euclidean distances (smooth fusion variant)."""
-    S = _shared_stack(thetas)
+    S = stack_values(thetas)
     return float(sq_distances(S, S)[np.tril_indices(len(S), -1)].sum())
 
 
@@ -113,15 +103,9 @@ def objective(
     hp: Hyperparameters,
 ) -> ObjectiveBreakdown:
     """Evaluate the joint criterion exactly at the given parameters."""
-    if len(problems) != len(thetas) or not problems:
-        raise ValueError(
-            f"got {len(problems)} problems and {len(thetas)} parameter vectors"
-        )
-    for p, t in zip(problems, thetas):
-        if p.structure != t.structure:
-            raise ValueError(
-                f"structure mismatch for condition {p.condition_name!r}"
-            )
+    if len(problems) != len(thetas):
+        raise ValueError(f"got {len(problems)} problems and {len(thetas)} parameter vectors")
+    shared_structure([*thetas, *problems], "parameter vector")
     fit = 0.0
     for p, t in zip(problems, thetas):
         r = p.Y - p.Phi @ t.values

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,6 +92,29 @@ class ParameterVector:
     def block(self, j: int) -> np.ndarray:
         """Coefficients of channel j (1-based)."""
         return self.values[self.structure.block_slice(j)]
+
+
+def shared_structure(items: Sequence, what: str) -> ModelStructure:
+    """The one structure of a list of problems or parameter vectors.
+
+    Every check that problems and models share a layout is made here.  An
+    empty list raises ValueError, as does the first item whose structure
+    differs, named by its condition name (a problem) or as ``<what> <index>``.
+    """
+    if not items:
+        raise ValueError(f"need at least one {what}")
+    shared = items[0].structure
+    for i, item in enumerate(items):
+        if item.structure != shared:
+            name = repr(item.condition_name) if hasattr(item, "condition_name") else f"{what} {i}"
+            raise ValueError(f"structure mismatch: {name} has {item.structure}, expected {shared}")
+    return shared
+
+
+def stack_values(thetas: Sequence[ParameterVector]) -> np.ndarray:
+    """The K x n_theta stack of parameter vectors that share one structure."""
+    shared_structure(thetas, "parameter vector")
+    return np.asarray([t.values for t in thetas])
 
 
 @dataclass(frozen=True)
@@ -404,12 +428,7 @@ class SyntheticScenario:
         object.__setattr__(
             self, "irrelevant_channels", frozenset(self.irrelevant_channels)
         )
-        if not self.group_truths:
-            raise ValueError("scenario needs at least one ground-truth model")
-        structure = self.group_truths[0].structure
-        for g in self.group_truths:
-            if g.structure != structure:
-                raise ValueError("ground-truth models must share one structure")
+        structure = shared_structure(self.group_truths, "ground-truth model")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if self.samples_per_condition < structure.taps:
@@ -485,31 +504,40 @@ def generate_synthetic(scn: SyntheticScenario) -> list[ConditionDataset]:
     return datasets
 
 
+def _typed(value, field: str, kind: type):
+    """``value`` as ``kind``: a JSON integer for int, a finite JSON number for float."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) or (
+            kind is float and not abs(value) <= sys.float_info.max):
+        noun = "an integer" if kind is int else "a finite number"
+        raise IngestionError(f"scenario config: {field} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def scenario_from_config(config) -> SyntheticScenario:
     """Build a scenario from its JSON form (see the synth CLI command)."""
     if not isinstance(config, dict):
         raise IngestionError("scenario config must be a JSON object")
     try:
-        structure = ModelStructure(
-            taps=int(config["taps"]), channels=int(config["channels"])
-        )
+        structure = ModelStructure(*(_typed(config[f], f, int) for f in ("taps", "channels")))
         truths, assignment = config["group_truths"], config["assignment"]
+        irrelevant = config.get("irrelevant_channels", [])
         if not (isinstance(truths, list) and all(isinstance(v, list) for v in truths)):
             raise IngestionError("scenario config: group_truths must be a list of lists")
         if not isinstance(assignment, dict):
             raise IngestionError("scenario config: assignment must be a JSON object")
+        if not isinstance(irrelevant, list):
+            raise IngestionError("scenario config: irrelevant_channels must be a list")
         return SyntheticScenario(
             group_truths=tuple(
                 ParameterVector(np.asarray(v, dtype=float), structure) for v in truths
             ),
-            assignment={str(k): int(v) for k, v in assignment.items()},
-            noise_sigma=float(config["noise_sigma"]),
+            assignment={k: _typed(v, f"assignment[{k!r}]", int) for k, v in assignment.items()},
+            noise_sigma=_typed(config["noise_sigma"], "noise_sigma", float),
             irrelevant_channels=frozenset(
-                int(j) for j in config.get("irrelevant_channels", ())
+                _typed(j, "irrelevant_channels item", int) for j in irrelevant
             ),
-            samples_per_condition=int(config["samples_per_condition"]),
-            seed=int(config["seed"]),
-            ar_coefficient=float(config.get("ar_coefficient", 0.0)),
+            **{f: _typed(config[f], f, int) for f in ("samples_per_condition", "seed")},
+            ar_coefficient=_typed(config.get("ar_coefficient", 0.0), "ar_coefficient", float),
         )
     except KeyError as exc:
         raise IngestionError(f"scenario config is missing field {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ParameterVector, RegressionProblem
+from .data import ParameterVector, RegressionProblem, shared_structure
 
 # Cost guard: the Gram eigenvalues are only computed up to this size.
 _GRAM_EIG_LIMIT = 512
@@ -82,15 +82,7 @@ def ls_fit(p: RegressionProblem) -> LsFit:
 
 def stack_problems(problems: list[RegressionProblem]) -> RegressionProblem:
     """Vertically stack problems sharing one structure into a single system."""
-    if not problems:
-        raise ValueError("need at least one problem")
-    structure = problems[0].structure
-    for p in problems:
-        if p.structure != structure:
-            raise ValueError(
-                f"structure mismatch: {p.condition_name!r} has {p.structure}, "
-                f"expected {structure}"
-            )
+    structure = shared_structure(problems, "problem")
     return RegressionProblem(
         Y=np.concatenate([p.Y for p in problems]),
         Phi=np.vstack([p.Phi for p in problems]),

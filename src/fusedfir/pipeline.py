@@ -32,6 +32,8 @@ from .data import (
     load_dataset,
     load_manifest,
     read_csv_rows,
+    shared_structure,
+    stack_values,
 )
 from .estimation import LsFit, pooled_ls_fit
 from .solver import SolveResult, SolverConfig, merged_pairs, solve
@@ -83,25 +85,15 @@ def cross_evaluate(
     eval_problems: list[RegressionProblem],
 ) -> list[FitReport]:
     """FIT of every model on every evaluation dataset."""
+    shared_structure([*models.values(), *eval_problems], "model")
     reports = []
     for source, theta in models.items():
         for p in eval_problems:
-            if p.structure != theta.structure:
-                raise ValueError(
-                    f"structure mismatch between model {source!r} and dataset "
-                    f"{p.condition_name!r}"
-                )
             try:
                 fit = fit_metric(p.Y, p.Phi @ theta.values)
             except ValueError:
                 fit = None
-            reports.append(
-                FitReport(
-                    model_source=source,
-                    eval_dataset=p.condition_name,
-                    fit_percent=fit,
-                )
-            )
+            reports.append(FitReport(source, p.condition_name, fit))
     return reports
 
 
@@ -195,9 +187,8 @@ def grid_search(
         raise ValueError(f"unknown fusion variant {fusion_variant!r}")
     if len(estimation_problems) != len(validation_problems) or not estimation_problems:
         raise ValueError("estimation and validation problem lists must align")
+    shared_structure([*estimation_problems, *validation_problems], "problem")
     for pe, pv in zip(estimation_problems, validation_problems):
-        if pe.structure != pv.structure:
-            raise ValueError("estimation/validation structure mismatch")
         if condition_of(pe.condition_name) != condition_of(pv.condition_name):
             raise ValueError(
                 f"condition mismatch: {pe.condition_name!r} vs {pv.condition_name!r}"
@@ -407,6 +398,15 @@ def _kmeans_core(
     return out
 
 
+def _cluster_stack(thetas: list[ParameterVector]) -> tuple[np.ndarray, int]:
+    """The models' stack times 2**e, the least e >= 0 that lifts its largest
+    magnitude to 1/2 or more: exact, so no clustering decision changes, but
+    squared distances of models below about 1e-154 no longer underflow."""
+    X = stack_values(thetas)
+    e = max(0, -math.frexp(float(np.abs(X).max()))[1])
+    return np.ldexp(X, e), e
+
+
 def kmeans(
     thetas: list[ParameterVector],
     k: int,
@@ -416,27 +416,25 @@ def kmeans(
     """Seeded k-means++ / Lloyd clustering of condition models (see
     ``_kmeans_core``); labels are keyed by ``names``, by default the
     positions as strings."""
-    if not thetas:
-        raise ValueError("need at least one parameter vector")
+    X, e = _cluster_stack(thetas)
     if not 1 <= k <= len(thetas):
         raise ValueError(f"k={k} out of range 1..{len(thetas)}")
     if names is None:
         names = [str(i) for i in range(len(thetas))]
     if len(names) != len(thetas):
         raise ValueError("names must align with thetas")
-    X = np.asarray([t.values for t in thetas])
     [(category, inertia)] = _kmeans_core(
         X, sq_distances(X, X), [(k, np.random.default_rng(seed))]
     )
     centroids = [
-        ParameterVector(X[category == c].mean(axis=0), thetas[0].structure)
+        ParameterVector(np.ldexp(X[category == c].mean(axis=0), -e), thetas[0].structure)
         for c in range(k)
     ]
     return ClusterAssignment(
         labels=dict(zip(names, category.tolist())),
         centroids=centroids,
         k=k,
-        inertia=inertia,
+        inertia=math.ldexp(inertia, -2 * e),
     )
 
 
@@ -467,9 +465,9 @@ def auto_select_k(thetas: list[ParameterVector], seed: int) -> int:
     each k gets the labels ``kmeans`` would give it.
     """
     K = len(thetas)
+    X, _ = _cluster_stack(thetas)
     if K <= 3:
         return min(2, K)
-    X = np.asarray([t.values for t in thetas])
     sq = sq_distances(X, X)
     D = np.sqrt(sq)
     jobs = [
@@ -609,8 +607,8 @@ def load_problems(
     """Regression problems of the manifest's datasets in each of ``roles``.
 
     Each role's problems come in dataset-name order; datasets of other
-    roles are not read.  A name listed twice in one role raises
-    IngestionError.
+    roles are not read.  A name listed twice in one role, or an entry whose
+    channel count is not the structure's, raises IngestionError unread.
     """
     manifest = Path(manifest)
     by_role: dict[str, dict[str, ConditionDataset]] = {role: {} for role in roles}
@@ -620,6 +618,11 @@ def load_problems(
             continue
         if entry.name in datasets:
             raise IngestionError(f"{entry.role} dataset {entry.name!r} is listed twice")
+        if len(entry.channels) != structure.channels:
+            raise IngestionError(
+                f"{entry.role} dataset {entry.name!r} has {len(entry.channels)} channels, "
+                f"structure requires {structure.channels}"
+            )
         datasets[entry.name] = load_dataset(manifest.parent / entry.file, entry)
     return {
         role: [build_regressor(datasets[name], structure) for name in sorted(datasets)]

@@ -77,7 +77,7 @@ from .criterion import (
     prox_l1,
     sq_distances,
 )
-from .data import ParameterVector, RegressionProblem
+from .data import ParameterVector, RegressionProblem, shared_structure, stack_values
 
 # Conditions k, i are reported as merged when ||theta_k - theta_i|| falls
 # below this factor times (1 + max_k ||theta_k||).
@@ -143,7 +143,7 @@ def merge_threshold(thetas: list[ParameterVector]) -> float:
 def merged_pairs(thetas: list[ParameterVector]) -> list[tuple[int, int]]:
     """Index pairs whose models coincide up to the merge threshold."""
     thr = merge_threshold(thetas)
-    stack = np.array([t.values for t in thetas], ndmin=2)
+    stack = stack_values(thetas)
     dists = np.sqrt(sq_distances(stack, stack)[np.tril_indices(len(thetas), -1)])
     return [pair for pair, d in zip(pair_list(len(thetas)), dists) if d <= thr]
 
@@ -266,15 +266,7 @@ def solve(
     holds are never written to.
     """
     cfg = cfg or SolverConfig()
-    if not problems:
-        raise ValueError("need at least one problem")
-    structure = problems[0].structure
-    for p in problems:
-        if p.structure != structure:
-            raise ValueError(
-                f"structure mismatch: {p.condition_name!r} differs from "
-                f"{problems[0].condition_name!r}"
-            )
+    structure = shared_structure(problems, "problem")
     K, n = len(problems), structure.n_theta
 
     G = np.asarray([2.0 * p.Phi.T @ p.Phi for p in problems])

@@ -89,8 +89,26 @@ class TestSynth:
             (dict(SCENARIO, assignment=[1]), "assignment must be a JSON object"),
             (dict(SCENARIO, group_truths=[1.0, 0.5]), "group_truths must be a list of lists"),
             (dict(SCENARIO, group_truths=3), "group_truths must be a list of lists"),
+            (dict(SCENARIO, taps=None), "taps must be an integer, got None"),
+            (dict(SCENARIO, channels=True), "channels must be an integer, got True"),
+            (dict(SCENARIO, seed="x"), "seed must be an integer, got 'x'"),
+            (dict(SCENARIO, samples_per_condition=1.5),
+             "samples_per_condition must be an integer, got 1.5"),
+            (dict(SCENARIO, irrelevant_channels=3), "irrelevant_channels must be a list"),
+            (dict(SCENARIO, irrelevant_channels=[2.0]),
+             "irrelevant_channels item must be an integer, got 2.0"),
+            (dict(SCENARIO, assignment={"BR30": "0"}),
+             "assignment['BR30'] must be an integer, got '0'"),
+            (dict(SCENARIO, noise_sigma=[1]), "noise_sigma must be a finite number, got [1]"),
+            (dict(SCENARIO, ar_coefficient=False),
+             "ar_coefficient must be a finite number, got False"),
+            (dict(SCENARIO, noise_sigma=10**400), "noise_sigma must be a finite number, got 1000"),
+            (dict(SCENARIO, noise_sigma=float("nan")), "noise_sigma must be a finite number, got nan"),
         ],
-        ids=["array", "string", "assignment-array", "truths-flat", "truths-number"],
+        ids=["array", "string", "assignment-array", "truths-flat", "truths-number",
+             "taps-null", "channels-bool", "seed-string", "samples-fraction",
+             "irrelevant-number", "irrelevant-float", "assignment-string", "noise-list",
+             "ar-bool", "noise-huge-integer", "noise-nan"],
     )
     def test_bad_config_shape_exit_2_names_field(self, tmp_path, capsys, config, message):
         path = tmp_path / "broken.json"
@@ -508,6 +526,33 @@ class TestMalformedManifest:
             argv += ["--out", str(tmp_path / "o"), *RUN_ARGS]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("run", "BR40-1"), ("bounds", "BR40-1"), ("fit", "BR40-1"), ("eval", "BR40-2")],
+    )
+    def test_channel_count_differs_exit_2_naming_the_dataset(
+        self, synth_dir, tmp_path, capsys, command, name
+    ):
+        # Both BR40 entries list one channel fewer than the first; each
+        # command reads only its own roles' datasets.
+        path = synth_dir / "manifest.json"
+        path.write_text(json.dumps([
+            dict(e, channels=e["channels"][:1]) if e["name"].startswith("BR40") else e
+            for e in json.loads(path.read_text())
+        ]), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {
+            "run": ["run", "--out", str(out), *RUN_ARGS],
+            "bounds": ["bounds", "--taps", "3", "--out", str(out)],
+            "fit": ["fit", "--taps", "3", "--out", str(out)],
+            "eval": ["eval", "--taps", "3", "--thetas", str(tmp_path / "t.csv"), "--out", str(out)],
+        }[command]
+        assert main([*argv, "--manifest", str(path)]) == 2
+        role = "validation" if command == "eval" else "estimation"
+        assert (f"error: {role} dataset '{name}' has 1 channels, structure requires 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestInputFiles:

@@ -13,18 +13,37 @@ from hypothesis import example, given, settings, strategies as st
 
 from fusedfir import (
     ConditionDataset,
+    GridSpec,
+    Hyperparameters,
     IngestionError,
     ManifestEntry,
     ModelStructure,
     ParameterVector,
+    RegressionProblem,
     SyntheticScenario,
     build_regressor,
+    cross_evaluate,
+    fusion_value,
+    fusion_value_squared,
     generate_synthetic,
+    grid_search,
+    kmeans,
     load_dataset,
     load_manifest,
+    merged_pairs,
+    objective,
+    pooled_ls_fit,
+    solve,
 )
 from fusedfir.cli import main
-from fusedfir.data import condition_of, parse_dataset_name, write_dataset_csv
+from fusedfir.data import (
+    condition_of,
+    parse_dataset_name,
+    shared_structure,
+    stack_values,
+    write_dataset_csv,
+)
+from fusedfir.pipeline import auto_select_k
 
 from reference import parse_csv_rows
 from test_cli import RUN_ARGS, write_scenario
@@ -466,6 +485,65 @@ class TestBlocks:
         theta = ParameterVector(np.arange(9.0), s)
         rebuilt = np.concatenate([theta.block(j) for j in range(1, 4)])
         np.testing.assert_array_equal(rebuilt, theta.values)
+
+
+# Two layouts with the same n_theta = 6, so every problem and vector is
+# well formed and only the shared-structure check can tell them apart.
+WIDE, TALL = ModelStructure(taps=2, channels=3), ModelStructure(taps=3, channels=2)
+
+
+def mixed_layouts():
+    """Four problems and four vectors, the last two of each in the other layout."""
+    rng = np.random.default_rng(5)
+    layouts = (WIDE, WIDE, TALL, TALL)
+    problems = [
+        RegressionProblem(rng.standard_normal(8), rng.standard_normal((8, 6)), s, f"C{i}0-1")
+        for i, s in enumerate(layouts, start=1)
+    ]
+    return problems, [ParameterVector(rng.standard_normal(6), s) for s in layouts]
+
+
+def validation_in_other_layout(problems):
+    return [RegressionProblem(p.Y, p.Phi, TALL, p.condition_name[:-1] + "2") for p in problems]
+
+
+MIXED_LAYOUT_CALLS = {
+    "solve": lambda p, t: solve(p, Hyperparameters(0.1, 0.1)),
+    "pooled_ls_fit": lambda p, t: pooled_ls_fit(p),
+    "objective": lambda p, t: objective(p[:2] + p[:2], t, Hyperparameters(0.1, 0.1)),
+    "fusion_value": lambda p, t: fusion_value(t),
+    "fusion_value_squared": lambda p, t: fusion_value_squared(t),
+    "merged_pairs": lambda p, t: merged_pairs(t),
+    "kmeans": lambda p, t: kmeans(t, 2, seed=0),
+    "auto_select_k": lambda p, t: auto_select_k(t, seed=0),
+    "grid_search": lambda p, t: grid_search(p[:2], validation_in_other_layout(p[:2]), GridSpec()),
+    "cross_evaluate": lambda p, t: cross_evaluate({"m": t[0]}, p),
+    "SyntheticScenario": lambda p, t: SyntheticScenario(
+        group_truths=tuple(t), assignment={"C10": 0}, noise_sigma=0.1,
+        irrelevant_channels=(), samples_per_condition=10, seed=0,
+    ),
+}
+
+
+class TestSharedStructure:
+    @pytest.mark.parametrize("call", MIXED_LAYOUT_CALLS.values(), ids=MIXED_LAYOUT_CALLS)
+    def test_mixed_layouts_raise(self, call):
+        with pytest.raises(ValueError, match="structure mismatch"):
+            call(*mixed_layouts())
+
+    def test_message_names_the_first_mismatch(self):
+        problems, thetas = mixed_layouts()
+        assert shared_structure(problems[:2], "problem") == WIDE
+        for call, name in [
+            (lambda: shared_structure(problems, "problem"), "'C30-1'"),
+            (lambda: stack_values(thetas), "parameter vector 2"),
+            (lambda: cross_evaluate({"a": thetas[0], "b": thetas[3]}, problems[:1]), "model 1"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"structure mismatch: {name} has {TALL}, expected {WIDE}"
+        with pytest.raises(ValueError, match="^need at least one model$"):
+            shared_structure([], "model")
 
 
 def two_group_scenario(noise=0.1, seed=42, samples=40, taps=3):

@@ -3,9 +3,14 @@
 Each example writes a small manifest and its CSVs: 1-4 conditions, 1-3
 taps, 1-3 channels and 2-40 rows, at a uniform scale from 1e-300 to
 1e300, optionally with one channel rescaled, a constant channel, a
-duplicated condition, a zero output or one defective cell.  Whatever the
-input, ``main`` returns 0, 2, 3 or 4 and raises nothing, and an exit 0
-leaves a ``report.json`` that parses with finite models.
+duplicated condition, a zero output, one defective cell or one manifest
+entry after the first that lists one channel fewer.  Whatever the input,
+``main`` returns 0, 2, 3 or 4 and raises nothing.  An exit 0 leaves a
+``report.json`` that parses with finite models, and a second run writes
+the same four outputs byte for byte.  A duplicated condition gets the
+same model as its original, and the same label when there are at least
+k distinct models.  A short entry exits 2 naming its dataset, unless a
+defect in an entry before it stops the run first.
 
 The runs use a 2 x 2 grid and ``--max-iter 300`` to keep each example
 cheap; the CLI only prints numpy's overflow warnings, so they are ignored
@@ -14,6 +19,8 @@ here rather than turned into errors.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -27,6 +34,8 @@ from fusedfir.cli import main
 
 # One cell's text is replaced by one of these; "{}" is the original text.
 CELL_DEFECTS = ("nan", "inf", "-inf", "", '"{}"', "  {} ", "{}x")
+
+OUTPUTS = ("report.json", "thetas.csv", "category_thetas.csv", "fit_matrix.csv")
 
 
 @st.composite
@@ -52,6 +61,7 @@ def scenarios(draw):
             st.integers(0, datasets - 1), st.integers(0, rows - 1),
             st.integers(0, channels), st.sampled_from(CELL_DEFECTS),
         )),
+        "short_entry": draw(st.none() | st.integers(1, datasets - 1)) if channels > 1 else None,
     }
 
 
@@ -89,7 +99,8 @@ def write_scenario(directory: Path, s: dict) -> Path:
         (directory / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         manifest.append({"name": name, "file": f"{name}.csv",
                          "role": "estimation" if d % 2 == 0 else "validation",
-                         "channels": channels, "output": "y"})
+                         "channels": channels[:-1] if s["short_entry"] == d else channels,
+                         "output": "y"})
     path = directory / "manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
     return path
@@ -105,15 +116,39 @@ def test_run_exits_with_a_known_code_and_finite_models(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         manifest = write_scenario(directory, scenario)
+
+        def run(out: Path) -> tuple[int, str]:
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([
+                    "run", "--manifest", str(manifest), "--out", str(out),
+                    "--taps", str(scenario["taps"]), "--k", str(scenario["k"]),
+                    "--max-iter", "300", "--lambda1-factors", "0.01,0.1",
+                    "--lambda2-values", "0,0.01",
+                ])
+            return code, stderr.getvalue()
+
         out = directory / "out"
-        code = main([
-            "run", "--manifest", str(manifest), "--out", str(out),
-            "--taps", str(scenario["taps"]), "--k", str(scenario["k"]),
-            "--max-iter", "300", "--lambda1-factors", "0.01,0.1",
-            "--lambda2-values", "0,0.01",
-        ])
+        code, stderr = run(out)
         assert code in (0, 2, 3, 4)
+        short, cell = scenario["short_entry"], scenario["cell"]
+        if short is not None:
+            assert code == 2
+            if cell is None or cell[0] >= short:
+                assert f"'C{10 * (short // 2 + 1)}-{short % 2 + 1}'" in stderr
         if code == 0:
             report = json.loads((out / "report.json").read_text(encoding="utf-8"))
             thetas = [*report["thetas"].values(), *(r["theta"] for r in report["refits"])]
             assert all(math.isfinite(v) for theta in thetas for v in theta)
+            rerun = directory / "rerun"
+            assert run(rerun)[0] == 0
+            for name in OUTPUTS:
+                assert (rerun / name).read_bytes() == (out / name).read_bytes()
+            if scenario["duplicate_condition"]:
+                original, copy = (np.asarray(report["thetas"][f"C{c}-1"]) for c in (10, 20))
+                assert np.linalg.norm(copy - original) <= 1e-12 * np.linalg.norm(original)
+                # k clusters of fewer distinct models must split equal ones.
+                distinct = {tuple(theta) for theta in report["thetas"].values()}
+                if scenario["k"] <= len(distinct):
+                    labels = report["clusters"]["labels"]
+                    assert labels["C10"] == labels["C20"]

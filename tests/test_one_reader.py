@@ -7,6 +7,11 @@ place in ``src/fusedfir`` that calls ``csv.reader``, and converted by
 ``data.float_columns``.  A second reader beside one of these would be a
 second error policy that must be kept equal to the first.  Only
 ``cli.main`` catches every exception, to map typed errors to exit codes.
+
+Likewise, problems and models are checked to share one ``ModelStructure``
+only by ``data.shared_structure``, the one comparison of ``.structure``
+attributes, and parameter vectors are stacked only by
+``data.stack_values``, the one list comprehension over ``.values``.
 """
 
 from __future__ import annotations
@@ -103,3 +108,29 @@ def test_catch_all_only_in_cli_main():
             and (node.type is None or getattr(node.type, "id", None) in ("Exception", "BaseException"))
         ]
     assert not sites, f"only cli.main may catch every exception, got {sites}"
+
+
+def test_one_structure_comparison():
+    sites = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Attribute) and operand.attr == "structure"
+            for operand in [node.left, *node.comparators]
+        )
+    ]
+    assert len(sites) == 1, f"structures must be compared at exactly one site, got {sites}"
+
+
+def test_one_values_stack():
+    sites = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.Attribute)
+        and node.elt.attr == "values"
+    ]
+    assert len(sites) == 1, f"parameter vectors must be stacked at exactly one site, got {sites}"

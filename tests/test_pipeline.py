@@ -647,6 +647,20 @@ class TestBatchedSeeding:
             with pytest.raises(ValueError, match=message):
                 auto_select_k(thetas, seed=0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tiny_models_cluster_as_their_unit_scale_copies_do(self, seed):
+        # Squared distances of rows near 1e-170 underflow to 0 unless the
+        # rows are first scaled up; a power of two changes no decision.
+        X = clustered_rows(9, 4, 1.0, 3, 0.1, seed)
+        tiny = [vec(np.ldexp(row, -565)) for row in X]
+        for k in range(1, 10):
+            want, got = kmeans([vec(row) for row in X], k, seed=k), kmeans(tiny, k, seed=k)
+            assert got.labels == want.labels
+            assert got.inertia == math.ldexp(want.inertia, -1130)
+            for a, b in zip(got.centroids, want.centroids):
+                np.testing.assert_array_equal(a.values, np.ldexp(b.values, -565))
+        assert auto_select_k(tiny, seed=seed) == auto_select_k([vec(row) for row in X], seed=seed)
+
 
 class TestGridSearch:
     def _aligned(self, seed, K=2, n=3, M=12):
