@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
 from collections.abc import Sequence
@@ -192,6 +193,7 @@ def build_regressor(ds: ConditionDataset, structure: ModelStructure) -> Regressi
     Row for time t (1-based, t = taps..L) holds, per channel j, the window
     [x_j(t), x_j(t-1), ..., x_j(t-taps+1)]; the target row is y(t).  This
     keeps every fully populated window, giving M = L - taps + 1 rows.
+    Data whose squared norms (so Gram products) overflow raise ValueError.
     """
     n = structure.taps
     if ds.n_channels != structure.channels:
@@ -201,7 +203,8 @@ def build_regressor(ds: ConditionDataset, structure: ModelStructure) -> Regressi
         )
     if ds.sample_count < n:
         raise ValueError(
-            f"series shorter than tap count: L={ds.sample_count} < n={n}"
+            f"condition {ds.name!r}: series shorter than tap count: "
+            f"L={ds.sample_count} < n={n}"
         )
     # sliding_window_view yields ascending-lag windows; flip to put lag 0 first.
     blocks = [
@@ -210,6 +213,8 @@ def build_regressor(ds: ConditionDataset, structure: ModelStructure) -> Regressi
     ]
     Phi = np.ascontiguousarray(np.hstack(blocks))
     Y = ds.output[n - 1 :].copy()
+    if not all(math.isfinite(np.vdot(a, a)) for a in (Phi, Y)):
+        raise ValueError(f"condition {ds.name!r}: its Gram products overflow")
     return RegressionProblem(Y=Y, Phi=Phi, structure=structure, condition_name=ds.name)
 
 
@@ -529,7 +534,10 @@ def scenario_from_config(config) -> SyntheticScenario:
             raise IngestionError("scenario config: irrelevant_channels must be a list")
         return SyntheticScenario(
             group_truths=tuple(
-                ParameterVector(np.asarray(v, dtype=float), structure) for v in truths
+                ParameterVector(
+                    np.array([_typed(x, f"group_truths[{i}]", float) for x in v]), structure
+                )
+                for i, v in enumerate(truths)
             ),
             assignment={k: _typed(v, f"assignment[{k!r}]", int) for k, v in assignment.items()},
             noise_sigma=_typed(config["noise_sigma"], "noise_sigma", float),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -247,21 +248,21 @@ class ClusterAssignment:
 
 
 def _kmeans_pp_starts(
-    sq: np.ndarray, jobs: list[tuple[int, np.random.Generator]]
+    sq: np.ndarray, jobs: list[tuple[int, random.Random]]
 ) -> list[np.ndarray]:
     """k-means++ seeding of ``_KMEANS_RESTARTS`` restarts for every job
     ``(k, rng)``, all in one batch: per job, an (restarts, k) array of the
     row indices chosen as centres.  Row i of ``sq`` holds the squared
     distances from row i to every row; its sum must be finite.
 
-    Each restart draws ``rng.integers(K)`` for its first centre and then
-    ``rng.random(k - 1)``, the doubles of k - 1 ``random()`` calls, one
-    per further centre: the same index ``Generator.choice(p=d2 / d2.sum())``
-    picks from the same double, where d2 holds each row's squared distance
-    to its nearest chosen centre.  Every step runs its arithmetic row by
-    row.  Where every weight of a step is zero (fewer distinct rows than
-    k), k-means++ leaves the draw undefined; that step picks a row
-    uniformly with the same double.
+    Each restart takes k ``rng.random()`` doubles, one per centre; only
+    ``random()``'s sequence for an int seed is kept across Python versions.
+    Centre j is ``searchsorted(cdf, u, side="right")`` on its double u,
+    where cdf is the normalised cumulative sum of d2 / d2.sum() and d2
+    holds each row's squared distance to its nearest chosen centre.  Every
+    step runs its arithmetic row by row.  The first centre, and any step
+    whose weights are all zero (fewer distinct rows than k, where k-means++
+    leaves the draw undefined), use the cdf of uniform weights.
     """
     K, R = sq.shape[0], _KMEANS_RESTARTS
     # Rows in ascending k, so the rows still seeding at each step are a
@@ -272,28 +273,24 @@ def _kmeans_pp_starts(
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
     ks = np.repeat([jobs[i][0] for i in order], R)
     at = np.cumsum(ks) - ks
-    chosen = np.empty(ks.sum(), dtype=np.intp)
-    u = np.empty(chosen.size)
-    for row, i in zip(range(0, ks.size, R), order):
-        k, rng = jobs[i]
-        for a in at[row : row + R]:
-            chosen[a] = rng.integers(K)
-            u[a + 1 : a + k] = rng.random(k - 1)
-    d2 = np.full((ks.size, K), np.inf)
+    u = np.array([jobs[i][1].random() for i in order for _ in range(R * jobs[i][0])])
+    chosen = np.empty(u.size, dtype=np.intp)
+    d2 = np.full((ks.size, K), np.inf)  # no centre yet: a total of inf
     buf = np.empty_like(d2)  # each step's gathered rows, then its cdf
-    for j in range(1, ks[-1]):
+    for j in range(ks[-1]):
         lo = int(np.searchsorted(ks, j, side="right"))
         live, cdf, pos = d2[lo:], buf[lo:], at[lo:] + j
-        # mode="clip" lets take write straight into ``out`` (the indices
-        # are rows of sq, so nothing is clipped).
-        np.minimum(live, sq.take(chosen[pos - 1], axis=0, out=cdf, mode="clip"), out=live)
+        if j:
+            # mode="clip" lets take write straight into ``out`` (the
+            # indices are rows of sq, so nothing is clipped).
+            np.minimum(live, sq.take(chosen[pos - 1], axis=0, out=cdf, mode="clip"), out=live)
         total = live.sum(axis=1)
-        zero = total == 0.0
-        total[zero] = 1.0  # 0 / 1 in place of 0 / 0, which warns
+        flat = (total == 0.0) | (total == np.inf)
+        total[flat] = 1.0  # 0 / 1 and inf / 1 in place of 0 / 0 and inf / inf
         np.divide(live, total[:, None], out=cdf)
-        # Generator.choice(K, p=full(K, 1 / K)): a flat weight in the cdf
-        # only, as d2 keeps its zeros for the later steps.
-        cdf[zero] = 1.0 / K
+        # Uniform weights in the cdf only, as d2 keeps its zeros for the
+        # later steps.
+        cdf[flat] = 1.0 / K
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:].copy()  # a view would make numpy copy all of cdf
         # searchsorted(cdf, u, side="right") on each nondecreasing row.
@@ -370,7 +367,7 @@ def _lloyd(
 
 
 def _kmeans_core(
-    X: np.ndarray, sq: np.ndarray, jobs: list[tuple[int, np.random.Generator]]
+    X: np.ndarray, sq: np.ndarray, jobs: list[tuple[int, random.Random]]
 ) -> list[tuple[np.ndarray, float]]:
     """Seeded k-means++ / Lloyd clustering of the rows of X into k
     clusters for each job ``(k, rng)``, where ``sq = sq_distances(X, X)``.
@@ -423,9 +420,7 @@ def kmeans(
         names = [str(i) for i in range(len(thetas))]
     if len(names) != len(thetas):
         raise ValueError("names must align with thetas")
-    [(category, inertia)] = _kmeans_core(
-        X, sq_distances(X, X), [(k, np.random.default_rng(seed))]
-    )
+    [(category, inertia)] = _kmeans_core(X, sq_distances(X, X), [(k, random.Random(seed))])
     centroids = [
         ParameterVector(np.ldexp(X[category == c].mean(axis=0), -e), thetas[0].structure)
         for c in range(k)
@@ -461,8 +456,8 @@ def auto_select_k(thetas: list[ParameterVector], seed: int) -> int:
     """Pick the cluster count in 2..K-1 maximizing the mean silhouette.
 
     Clusters every k through ``_kmeans_core`` with the sub-seed
-    ``SeedSequence((seed, k))``, so all k share one batched seeding and
-    each k gets the labels ``kmeans`` would give it.
+    ``seed << 64 | k``, so all k share one batched seeding and each k gets
+    the labels ``kmeans`` gives it with that seed.
     """
     K = len(thetas)
     X, _ = _cluster_stack(thetas)
@@ -470,10 +465,7 @@ def auto_select_k(thetas: list[ParameterVector], seed: int) -> int:
         return min(2, K)
     sq = sq_distances(X, X)
     D = np.sqrt(sq)
-    jobs = [
-        (k, np.random.default_rng(int(np.random.SeedSequence((seed, k)).generate_state(1)[0])))
-        for k in range(2, K)
-    ]
+    jobs = [(k, random.Random(seed << 64 | k)) for k in range(2, K)]
     best_k, best_s = 2, -np.inf
     for (k, _), (labels, _) in zip(jobs, _kmeans_core(X, sq, jobs)):
         s = _silhouette(D, labels)
@@ -707,14 +699,12 @@ def run_pipeline(
     # through the clustering, where the run's memory peaks.
     solve_result = replace(solve_result, state=None)
 
-    seeds = np.random.SeedSequence(seed).spawn(1)
-    kmeans_seed = int(seeds[0].generate_state(1)[0])
     if auto_k:
         k_used = auto_select_k(solve_result.thetas, seed)
         notes.append(f"auto-selected k={k_used} by silhouette")
     else:
         k_used = min(k_clusters, K)
-    assignment = kmeans(solve_result.thetas, k_used, kmeans_seed, conditions)
+    assignment = kmeans(solve_result.thetas, k_used, seed, conditions)
     categories = refit_clusters(estimation, assignment)
     models = {cat.name: cat.fit.theta for cat in categories}
     fit_reports = cross_evaluate(models, evaluation)

@@ -450,8 +450,7 @@ def test_warm_started_grid_selects_as_a_cold_per_point_loop(pipeline_run):
 
     thetas = ff.solve(est, hp).thetas
     assert ff.merged_pairs(thetas) == ff.merged_pairs(rep.solve_result.thetas)
-    kmeans_seed = int(np.random.SeedSequence(ACCEPTANCE_SEED).spawn(1)[0].generate_state(1)[0])
-    assert ff.kmeans(thetas, 2, kmeans_seed, conditions).labels == rep.clusters.labels
+    assert ff.kmeans(thetas, 2, ACCEPTANCE_SEED, conditions).labels == rep.clusters.labels
 
 
 def test_rho_stats_stay_out_of_report(pipeline_run):

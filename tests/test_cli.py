@@ -31,6 +31,13 @@ SCENARIO = {
 }
 
 
+def truths_with(i, value):
+    """SCENARIO's group truths with truth i's first coefficient replaced."""
+    truths = [list(t) for t in SCENARIO["group_truths"]]
+    truths[i][0] = value
+    return truths
+
+
 def write_scenario(tmp_path, **overrides):
     config = dict(SCENARIO, **overrides)
     path = tmp_path / "scenario.json"
@@ -104,11 +111,18 @@ class TestSynth:
              "ar_coefficient must be a finite number, got False"),
             (dict(SCENARIO, noise_sigma=10**400), "noise_sigma must be a finite number, got 1000"),
             (dict(SCENARIO, noise_sigma=float("nan")), "noise_sigma must be a finite number, got nan"),
+            (dict(SCENARIO, group_truths=truths_with(0, "1.0")),
+             "group_truths[0] must be a finite number, got '1.0'"),
+            (dict(SCENARIO, group_truths=truths_with(1, None)),
+             "group_truths[1] must be a finite number, got None"),
+            (dict(SCENARIO, group_truths=truths_with(0, "x")),
+             "group_truths[0] must be a finite number, got 'x'"),
         ],
         ids=["array", "string", "assignment-array", "truths-flat", "truths-number",
              "taps-null", "channels-bool", "seed-string", "samples-fraction",
              "irrelevant-number", "irrelevant-float", "assignment-string", "noise-list",
-             "ar-bool", "noise-huge-integer", "noise-nan"],
+             "ar-bool", "noise-huge-integer", "noise-nan", "truth-string-number",
+             "truth-null", "truth-string"],
     )
     def test_bad_config_shape_exit_2_names_field(self, tmp_path, capsys, config, message):
         path = tmp_path / "broken.json"
@@ -201,10 +215,9 @@ class TestFitCommand:
         assert "BR40-1.csv: row 2: field larger than field limit" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_values_exit_2_without_output(self, tmp_path, capsys):
-        # Finite cells near 1e160 pass ingestion, but squared residuals and
-        # gradients overflow; JSON has no text for inf or nan.
+        # Finite cells near 1e160 pass the reader, but their squares
+        # overflow, so no Gram product exists.
         rows = ["t,s1,y"] + [f"{i},{(-1) ** i * (1 + i % 3)}e160,{i % 5}e160" for i in range(30)]
         manifest = []
         for name in ("BR30-1", "BR40-1"):
@@ -218,30 +231,39 @@ class TestFitCommand:
             capsys.readouterr()
             assert main([*argv, "--manifest", str(path), "--taps", "2"]) == 2
             captured = capsys.readouterr()
-            assert "Out of range float values are not JSON compliant" in captured.err
+            assert "error: condition 'BR30-1': its Gram products overflow" in captured.err
             assert captured.out == ""
         assert not out.exists()
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_values_run_exit_2_naming_lambda1_max(self, tmp_path, capsys):
-        # The pooled fit behind lambda1_max overflows, so no weight grid exists.
-        rows = ["t,s1,y"] + [f"{i},{(-1) ** i * (1 + i % 3)}e160,{i % 5}e160" for i in range(30)]
-        manifest = []
-        for name in ("BR30-1", "BR30-2", "BR40-1", "BR40-2"):
-            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-            role = "estimation" if name.endswith("-1") else "validation"
-            manifest.append({"name": name, "file": f"{name}.csv", "role": role,
-                             "channels": ["s1"], "output": "y"})
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        out = tmp_path / "run"
-        argv = ["run", "--manifest", str(path), "--out", str(out), "--taps", "2", "--k", "1"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "error: lambda1_max is nan: the pooled least-squares fit overflows" in captured.err
-        assert "bounds:" not in captured.out
-        assert not out.exists()
+        cases = {
+            # Each dataset's Gram products overflow.
+            160: "error: condition 'BR30-1': its Gram products overflow",
+            # Each Gram is finite, but the pooled fit behind lambda1_max
+            # overflows, so no weight grid exists.
+            152: "error: lambda1_max is inf: the pooled least-squares fit overflows",
+        }
+        for exponent, message in cases.items():
+            rows = ["t,s1,y"] + [
+                f"{i},{(-1) ** i * (1 + i % 3)}e{exponent},{i % 5}e{exponent}" for i in range(30)
+            ]
+            manifest = []
+            for name in ("BR30-1", "BR30-2", "BR40-1", "BR40-2"):
+                (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+                role = "estimation" if name.endswith("-1") else "validation"
+                manifest.append({"name": name, "file": f"{name}.csv", "role": role,
+                                 "channels": ["s1"], "output": "y"})
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            out = tmp_path / "run"
+            argv = ["run", "--manifest", str(path), "--out", str(out), "--taps", "2", "--k", "1"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert "bounds:" not in captured.out
+            assert not out.exists()
 
 
 RUN_ARGS = ["--taps", "3", "--k", "2", "--seed", "11",

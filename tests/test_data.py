@@ -440,6 +440,19 @@ class TestBuildRegressor:
         with pytest.raises(ValueError, match="shorter than tap count"):
             build_regressor(ds, ModelStructure(taps=4, channels=1))
 
+    @pytest.mark.parametrize("big", ["inputs", "output"])
+    def test_overflowing_gram_names_condition(self, big):
+        # 1e155 is finite, but its square is not; the squares of 1e150
+        # still sum to a finite value.
+        structure = ModelStructure(taps=2, channels=2)
+        build_regressor(
+            ConditionDataset("BR30-1", np.full((5, 2), 1e150), np.full(5, 1e150)), structure
+        )
+        arrays = {"inputs": np.ones((5, 2)), "output": np.ones(5)}
+        arrays[big] *= 1e155
+        with pytest.raises(ValueError, match="^condition 'BR30-1': its Gram products overflow"):
+            build_regressor(ConditionDataset("BR30-1", **arrays), structure)
+
     def test_channel_mismatch(self):
         ds = ConditionDataset("BR30-1", np.ones((5, 2)), np.ones(5))
         with pytest.raises(ValueError, match="channels"):
@@ -609,6 +622,40 @@ class TestSynthetic:
         assert result == {
             "rc": 0, "after_import": [], "after_run": [], "pool": False, "threads": 1
         }
+
+    def test_commands_leave_numpy_random_unloaded(self, tmp_path):
+        # k-means draws from random.Random, so only synth loads numpy.random
+        # (about 6 MB of RSS in a child); auto-k clusters every k.
+        data = tmp_path / "data"
+        assert main(["synth", str(write_scenario(tmp_path)), "--out", str(data)]) == 0
+        manifest = ["--manifest", str(data / "manifest.json"), "--taps", "3"]
+        commands = [
+            ["run", *manifest, "--out", str(tmp_path / "run"), *RUN_ARGS, "--auto-k"],
+            ["fit", *manifest, "--out", str(tmp_path / "fit")],
+            ["eval", *manifest, "--thetas", str(tmp_path / "fit" / "thetas.csv")],
+            ["bounds", *manifest],
+        ]
+        code = (
+            "import json, sys\n"
+            "import fusedfir.cli\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    rc = fusedfir.cli.main(argv)\n"
+            "    results.append([argv[0], rc, 'numpy.random' in sys.modules])\n"
+            "print(json.dumps(results))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert results == [[c[0], 0, False] for c in commands]
+        assert "auto-selected k=" in (tmp_path / "run" / "report.json").read_text(encoding="utf-8")
 
     def test_dataset_count_and_names(self):
         datasets = generate_synthetic(two_group_scenario())

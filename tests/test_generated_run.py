@@ -3,18 +3,24 @@
 Each example writes a small manifest and its CSVs: 1-4 conditions, 1-3
 taps, 1-3 channels and 2-40 rows, at a uniform scale from 1e-300 to
 1e300, optionally with one channel rescaled, a constant channel, a
-duplicated condition, a zero output, one defective cell or one manifest
-entry after the first that lists one channel fewer.  Whatever the input,
-``main`` returns 0, 2, 3 or 4 and raises nothing.  An exit 0 leaves a
-``report.json`` that parses with finite models, and a second run writes
-the same four outputs byte for byte.  A duplicated condition gets the
-same model as its original, and the same label when there are at least
-k distinct models.  A short entry exits 2 naming its dataset, unless a
-defect in an entry before it stops the run first.
+duplicated condition, a zero output, one defective cell, one manifest
+entry after the first that lists one channel fewer, one dataset cut to
+fewer rows than taps, or a grid of 1-3 values per weight given on the
+command line, one of its lists perhaps repeating a value.  Whatever the
+input, ``main`` returns 0, 2, 3 or 4 and raises nothing.  An exit 0
+leaves a ``report.json`` that parses with finite models, and a second run
+writes the same four outputs byte for byte.  A duplicated condition gets
+the same model as its original, and the same label when there are at
+least k distinct models.  A repeated grid value exits 2 before any data
+is read.  A short entry exits 2 naming its dataset, unless a defect in
+an entry before it stops the run first.  A cut dataset exits 2; with no
+other defect, the message names it, or a dataset whose Gram products
+overflow.
 
-The runs use a 2 x 2 grid and ``--max-iter 300`` to keep each example
-cheap; the CLI only prints numpy's overflow warnings, so they are ignored
-here rather than turned into errors.
+The runs use at most a 3 x 3 grid (2 x 2 by default) and
+``--max-iter 300`` to keep each example cheap; the CLI only prints
+numpy's overflow warnings, so they are ignored here rather than turned
+into errors.
 """
 
 from __future__ import annotations
@@ -37,17 +43,37 @@ CELL_DEFECTS = ("nan", "inf", "-inf", "", '"{}"', "  {} ", "{}x")
 
 OUTPUTS = ("report.json", "thetas.csv", "category_thetas.csv", "fit_matrix.csv")
 
+DEFAULT_GRID = ((0.01, 0.1), (0.0, 0.01))
+
+
+def dataset_name(d: int) -> str:
+    """Dataset d is condition d // 2's estimation (even d) or validation set."""
+    return f"C{10 * (d // 2 + 1)}-{d % 2 + 1}"
+
+
+def rarely(strategy):
+    """``strategy`` in about one example in four, None otherwise, so that
+    the inputs that always exit 2 leave most examples to the other
+    properties."""
+    return st.integers(0, 3).flatmap(lambda i: st.none() if i else strategy)
+
+
+def ascending(values):
+    """1-3 distinct values of ``values`` in ascending order."""
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True).map(sorted)
+
 
 @st.composite
 def scenarios(draw):
     K = draw(st.integers(1, 4))
+    taps = draw(st.integers(1, 3))
     channels = draw(st.integers(1, 3))
     rows = draw(st.integers(2, 40))
     datasets = 2 * K
     return {
         "K": K,
         "k": draw(st.integers(1, K)),
-        "taps": draw(st.integers(1, 3)),
+        "taps": taps,
         "channels": channels,
         "rows": rows,
         "seed": draw(st.integers(0, 2**16)),
@@ -62,6 +88,14 @@ def scenarios(draw):
             st.integers(0, channels), st.sampled_from(CELL_DEFECTS),
         )),
         "short_entry": draw(st.none() | st.integers(1, datasets - 1)) if channels > 1 else None,
+        # (dataset, rows left), fewer than the taps.
+        "cut": draw(rarely(st.tuples(st.integers(0, datasets - 1),
+                                     st.integers(1, taps - 1)))) if taps > 1 else None,
+        "grid": draw(st.none() | st.tuples(ascending([0.0, 1e-3, 1e-2, 1e-1, 1.0]),
+                                           ascending([0.0, 1e-4, 1e-2, 1.0]))),
+        # The grid list (0: lambda1 factors, 1: lambda2 values) whose first
+        # value is given twice.
+        "repeat": draw(rarely(st.integers(0, 1))),
     }
 
 
@@ -93,9 +127,11 @@ def write_scenario(directory: Path, s: dict) -> Path:
         if s["cell"] is not None and s["cell"][0] == d:
             _, r, c, defect = s["cell"]
             cells[r][c] = defect.format(cells[r][c])
-        name = f"C{10 * (d // 2 + 1)}-{d % 2 + 1}"
+        name = dataset_name(d)
         lines = [",".join(["t", *channels, "y"])]
         lines += [",".join([str(t + 1), *row]) for t, row in enumerate(cells)]
+        if s["cut"] is not None and s["cut"][0] == d:
+            del lines[1 + s["cut"][1]:]
         (directory / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         manifest.append({"name": name, "file": f"{name}.csv",
                          "role": "estimation" if d % 2 == 0 else "validation",
@@ -117,25 +153,43 @@ def test_run_exits_with_a_known_code_and_finite_models(scenario):
         directory = Path(tmp)
         manifest = write_scenario(directory, scenario)
 
+        grid = [list(values) for values in scenario["grid"] or DEFAULT_GRID]
+        repeat = scenario["repeat"]
+        if repeat is not None:
+            grid[repeat].insert(0, grid[repeat][0])
+
         def run(out: Path) -> tuple[int, str]:
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 code = main([
                     "run", "--manifest", str(manifest), "--out", str(out),
                     "--taps", str(scenario["taps"]), "--k", str(scenario["k"]),
-                    "--max-iter", "300", "--lambda1-factors", "0.01,0.1",
-                    "--lambda2-values", "0,0.01",
+                    "--max-iter", "300",
+                    "--lambda1-factors", ",".join(map(repr, grid[0])),
+                    "--lambda2-values", ",".join(map(repr, grid[1])),
                 ])
             return code, stderr.getvalue()
 
         out = directory / "out"
         code, stderr = run(out)
         assert code in (0, 2, 3, 4)
-        short, cell = scenario["short_entry"], scenario["cell"]
+        short, cell, cut = scenario["short_entry"], scenario["cell"], scenario["cut"]
+        if repeat is not None:
+            assert code == 2
+            assert "must be strictly ascending" in stderr
+            return
         if short is not None:
             assert code == 2
             if cell is None or cell[0] >= short:
-                assert f"'C{10 * (short // 2 + 1)}-{short % 2 + 1}'" in stderr
+                assert f"'{dataset_name(short)}'" in stderr
+        if cut is not None:
+            assert code == 2
+            if cell is None and short is None:
+                # With fewer rows than taps everywhere, the first dataset
+                # built fails first.
+                first = cut[0] if scenario["rows"] >= scenario["taps"] else 0
+                assert (f"'{dataset_name(first)}': series shorter than tap count" in stderr
+                        or "Gram products overflow" in stderr), stderr
         if code == 0:
             report = json.loads((out / "report.json").read_text(encoding="utf-8"))
             thetas = [*report["thetas"].values(), *(r["theta"] for r in report["refits"])]

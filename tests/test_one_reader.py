@@ -12,6 +12,9 @@ Likewise, problems and models are checked to share one ``ModelStructure``
 only by ``data.shared_structure``, the one comparison of ``.structure``
 attributes, and parameter vectors are stacked only by
 ``data.stack_values``, the one list comprehension over ``.values``.
+
+Only ``data.generate_synthetic`` draws from ``numpy.random``, which costs
+a child process about 6 MB of RSS to load; k-means uses ``random.Random``.
 """
 
 from __future__ import annotations
@@ -134,3 +137,37 @@ def test_one_values_stack():
         and node.elt.attr == "values"
     ]
     assert len(sites) == 1, f"parameter vectors must be stacked at exactly one site, got {sites}"
+
+
+def _numpy_random_uses(tree: ast.AST) -> list[ast.AST]:
+    """``np.random`` / ``numpy.random`` attributes and imports of numpy.random."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and getattr(node.value, "id", None) in ("np", "numpy")
+        or isinstance(node, ast.Import)
+        and any(alias.name.startswith("numpy.random") for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (
+            (node.module or "").startswith("numpy.random")
+            or node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+        )
+    ]
+
+
+def test_numpy_random_only_in_generate_synthetic():
+    synth = next(
+        n for n in TREES["data.py"].body
+        if isinstance(n, ast.FunctionDef) and n.name == "generate_synthetic"
+    )
+    allowed = {id(n) for n in _numpy_random_uses(synth)}
+    assert allowed, "generate_synthetic no longer draws from numpy.random"
+    sites = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in _numpy_random_uses(tree)
+        if id(node) not in allowed
+    ]
+    assert not sites, f"numpy.random used outside data.generate_synthetic at {sites}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -154,17 +155,17 @@ class TestKmeans:
 
         def stacked_init(rng):
             # D^2 seeding with the minimum over every chosen centre restacked.
-            centers = [X[int(rng.integers(X.shape[0]))]]
+            K = X.shape[0]
+            centers = [X[inverse_cdf_pick(np.full(K, 1.0 / K), rng.random())]]
             for _ in range(k - 1):
                 d2 = np.min([np.sum((X - c) ** 2, axis=1) for c in centers], axis=0)
-                idx = int(rng.choice(X.shape[0], p=d2 / float(d2.sum())))
-                centers.append(X[idx])
+                centers.append(X[inverse_cdf_pick(d2 / float(d2.sum()), rng.random())])
             return np.asarray(centers)
 
         sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         for seed in range(5):
-            ref = np.random.default_rng(seed)
-            [starts] = _kmeans_pp_starts(sq, [(k, np.random.default_rng(seed))])
+            ref = random.Random(seed)
+            [starts] = _kmeans_pp_starts(sq, [(k, random.Random(seed))])
             np.testing.assert_array_equal(
                 X[starts],
                 [stacked_init(ref) for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)],
@@ -213,12 +214,20 @@ def broadcast_sq(A, B):
     return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
 
 
+def inverse_cdf_pick(p, u):
+    """The index ``Generator.choice(len(p), p=p)`` picks with the double u:
+    searchsorted on the normalised cumulative sum of p."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
 def sequential_pp_init(k, rng, sq):
-    """k-means++ seeding one draw at a time: one ``integers`` draw, then
-    one ``random()`` call per further centre, used as ``Generator.choice``
-    uses it, with a flat weight where every weight is zero."""
+    """k-means++ seeding one draw at a time: one ``random()`` call per
+    centre, picked by the inverse cdf, with flat weights for the first
+    centre and where every weight is zero."""
     K = sq.shape[0]
-    idx = int(rng.integers(K))
+    idx = inverse_cdf_pick(np.full(K, 1.0 / K), rng.random())
     chosen = [idx]
     d2 = np.full(K, np.inf)
     for _ in range(k - 1):
@@ -226,9 +235,7 @@ def sequential_pp_init(k, rng, sq):
         total = float(d2.sum())
         if not math.isfinite(total):
             raise ValueError("k-means needs finite parameter vectors")
-        cdf = (d2 / total if total else np.full(K, 1.0 / K)).cumsum()
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
+        idx = inverse_cdf_pick(d2 / total if total else np.full(K, 1.0 / K), rng.random())
         chosen.append(idx)
     return chosen
 
@@ -275,7 +282,7 @@ def sequential_kmeans(X, k, seed):
     sq = broadcast_sq(X, X)
     if not math.isfinite(sq.sum()):
         raise ValueError("k-means needs finite parameter vectors")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(fusedfir.pipeline._KMEANS_RESTARTS):
         labels, inertia = sequential_lloyd(X, sq[:, sequential_pp_init(k, rng, sq)])
@@ -295,8 +302,7 @@ def reference_auto_select_k(thetas, seed):
     D = np.sqrt(broadcast_sq(X, X))
     best_k, best_s = 2, -np.inf
     for k in range(2, K):
-        sub_seed = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
-        s = _silhouette(D, np.asarray(sequential_kmeans(X, k, sub_seed)[0]))
+        s = _silhouette(D, np.asarray(sequential_kmeans(X, k, seed << 64 | k)[0]))
         if s > best_s:
             best_k, best_s = k, s
     return best_k
@@ -430,31 +436,31 @@ class TestVectorisedClustering:
         assert got[2] == want[2]
 
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_kmeans_pp_draw_matches_generator_choice(self, data, seed):
+    def test_kmeans_pp_draw_matches_inverse_cdf_pick(self, data, seed):
         # Repeated and already chosen points give zero weights.
         X = data.draw(grid_points())
         k = data.draw(st.integers(2, X.shape[0]))
         sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
 
-        def choice_init(rng):
+        def pick_init(rng):
             K = X.shape[0]
-            idx = int(rng.integers(K))
+            idx = inverse_cdf_pick(np.full(K, 1.0 / K), rng.random())
             chosen = [idx]
             d2 = np.full(K, np.inf)
             for _ in range(k - 1):
                 d2 = np.minimum(d2, sq[idx])
                 total = float(d2.sum())
-                idx = int(rng.choice(K, p=d2 / total if total else np.full(K, 1.0 / K)))
+                idx = inverse_cdf_pick(d2 / total if total else np.full(K, 1.0 / K), rng.random())
                 chosen.append(idx)
             return X[chosen]
 
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
         [starts] = _kmeans_pp_starts(sq, [(k, got_rng)])
         np.testing.assert_array_equal(
             X[starts],
-            [choice_init(want_rng) for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)],
+            [pick_init(want_rng) for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)],
         )
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.getstate() == want_rng.getstate()
 
     @given(
         K=st.integers(1, 12),
@@ -480,11 +486,11 @@ class TestVectorisedClustering:
         with np.errstate(invalid="ignore"):
             sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         for k in (1, 2):
-            rng = np.random.default_rng(seed)
-            state = rng.bit_generator.state
+            rng = random.Random(seed)
+            state = rng.getstate()
             with pytest.raises(ValueError, match="^k-means needs finite parameter vectors$"):
                 _kmeans_core(X, sq, [(k, rng)])
-            assert rng.bit_generator.state == state
+            assert rng.getstate() == state
 
     def test_auto_select_k_builds_one_distance_matrix(self, monkeypatch):
         matrices = []
@@ -526,7 +532,7 @@ class TestVectorisedClustering:
         rng = np.random.default_rng(20)
         X = rng.standard_normal((4, 15))[np.arange(20) % 4]
         monkeypatch.setattr(fusedfir.pipeline, "sq_distances", counting)
-        [(labels, inertia)] = _kmeans_core(X, real_sq(X, X), [(k, np.random.default_rng(3))])
+        [(labels, inertia)] = _kmeans_core(X, real_sq(X, X), [(k, random.Random(3))])
         assert sorted(set(labels.tolist())) == list(range(k))
         assert inertia < 1e-20  # every point at its centre, up to rounding
         # At most 10 Lloyd steps per restart, against 300 at the cap.
@@ -546,7 +552,7 @@ class TestVectorisedClustering:
         assert auto_select_k(thetas, seed) == reference_auto_select_k(thetas, seed)
         sq = sq_distances(X, X)
         for k in range(1, K + 1):
-            [(labels, inertia)] = _kmeans_core(X, sq, [(k, np.random.default_rng(seed + k))])
+            [(labels, inertia)] = _kmeans_core(X, sq, [(k, random.Random(seed + k))])
             out = kmeans(thetas, k, seed + k)
             assert labels.tolist() == [out.labels[str(i)] for i in range(K)]
             assert inertia == out.inertia
@@ -561,13 +567,16 @@ class TestBatchedSeeding:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("K,m", [(1, 0), (1, 1), (7, 3), (48, 47), (1000, 5)])
     def test_random_batch_is_successive_single_draws(self, seed, K, m):
-        # The premise of the batch: after an integers() draw, random(m)
-        # returns the doubles of m random() calls and leaves the same state.
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            assert a.integers(K) == b.integers(K)
-            np.testing.assert_array_equal(a.random(m), [b.random() for _ in range(m)])
-        assert a.bit_generator.state == b.bit_generator.state
+        # The premise of the batch: a job of k = m + 1 centres takes exactly
+        # k successive random() doubles per restart, and each restart's
+        # first centre is the flat-weight pick of its first double.
+        R = fusedfir.pipeline._KMEANS_RESTARTS
+        X = np.arange(K, dtype=float)[:, None]
+        got, ref = random.Random(seed), random.Random(seed)
+        [starts] = _kmeans_pp_starts(sq_distances(X, X), [(m + 1, got)])
+        u = [[ref.random() for _ in range(m + 1)] for _ in range(R)]
+        assert got.getstate() == ref.getstate()
+        assert starts[:, 0].tolist() == [inverse_cdf_pick(np.full(K, 1.0 / K), r[0]) for r in u]
 
     @given(
         K=st.integers(1, 20),
@@ -583,7 +592,7 @@ class TestBatchedSeeding:
         X = clustered_rows(K, n, scale, groups, spread, seed)
         want = sequential_kmeans(X, k, seed)
         [(labels, inertia)] = _kmeans_core(
-            X, sq_distances(X, X), [(k, np.random.default_rng(seed))]
+            X, sq_distances(X, X), [(k, random.Random(seed))]
         )
         assert (labels.tolist(), inertia) == want
         out = kmeans([vec(row) for row in X], k, seed)
@@ -601,16 +610,16 @@ class TestBatchedSeeding:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((distinct, 3))[rng.integers(distinct, size=K)]
         ks = data.draw(st.lists(st.integers(1, K), min_size=1, max_size=6))
-        jobs = [(k, np.random.default_rng([seed, i])) for i, k in enumerate(ks)]
+        jobs = [(k, random.Random(seed << 8 | i)) for i, k in enumerate(ks)]
         starts = _kmeans_pp_starts(sq_distances(X, X), jobs)
         for i, (k, job_rng) in enumerate(jobs):
-            ref = np.random.default_rng([seed, i])
+            ref = random.Random(seed << 8 | i)
             want = [
                 sequential_pp_init(k, ref, broadcast_sq(X, X))
                 for _ in range(fusedfir.pipeline._KMEANS_RESTARTS)
             ]
             np.testing.assert_array_equal(starts[i], want)
-            assert job_rng.bit_generator.state == ref.bit_generator.state
+            assert job_rng.getstate() == ref.getstate()
 
     def test_duplicate_models_redraw_and_match(self):
         # 3 distinct rows: every k above 3 meets steps whose weights are
