@@ -11,6 +11,7 @@ every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,13 @@ def _pooled_gradients(
 
 
 def _fusion_bounds(norms: list[float]) -> tuple[float, float]:
-    """(necessary, sufficient) fusion weights from the gradient norms."""
-    return max(norms) / (len(norms) - 1), 2.0 * max(norms) / len(norms)
+    """(necessary, sufficient) fusion weights from the gradient norms;
+    ValueError names a weight that overflows."""
+    bounds = max(norms) / (len(norms) - 1), 2.0 * max(norms) / len(norms)
+    for name, value in zip(("lambda1_max", "lambda1_sufficient"), bounds):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value}: the pooled least-squares fit overflows")
+    return bounds
 
 
 def lambda1_max(problems: list[RegressionProblem]) -> float:
@@ -67,7 +73,10 @@ def lambda1_max(problems: list[RegressionProblem]) -> float:
 def lambda2_max(problems: list[RegressionProblem]) -> float:
     """Sparsity weight above which the all-zero solution is optimal."""
     shared_structure(problems, "problem")
-    return max(2.0 * float(np.abs(p.Phi.T @ p.Y).max()) for p in problems)
+    bound = max(2.0 * float(np.abs(p.Phi.T @ p.Y).max()) for p in problems)
+    if not math.isfinite(bound):
+        raise ValueError(f"lambda2_max is {bound}: Phi^T Y overflows")
+    return bound
 
 
 def compute_bounds(problems: list[RegressionProblem]) -> BoundsReport:

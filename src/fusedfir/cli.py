@@ -25,7 +25,7 @@ from .data import (
     scenario_from_config,
     write_dataset_csv,
 )
-from .estimation import ls_fit
+from .estimation import ls_fit, qr_compress
 from .pipeline import (
     GridSearchFailedError,
     GridSpec,
@@ -113,7 +113,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     _, problems = _role_problems(Path(args.manifest), args.taps, ("estimation",))
-    report = compute_bounds(problems)
+    # Compressed as `run` compresses them, so both report the same bounds.
+    report = compute_bounds([qr_compress(p) for p in problems])
     text = json_text(report.to_dict())
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -162,7 +162,10 @@ class ConditionDataset:
 
 @dataclass(frozen=True)
 class RegressionProblem:
-    """Stacked lag-window system Y = Phi @ theta + noise for one condition."""
+    """Stacked lag-window system Y = Phi @ theta + noise for one condition.
+    ``run`` keeps estimation and validation problems as their (n + 1)-row QR
+    factors (``estimation.qr_compress``), with the same fit term at every
+    theta; FIT always uses the built rows."""
 
     Y: np.ndarray
     Phi: np.ndarray

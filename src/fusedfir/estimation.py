@@ -80,6 +80,19 @@ def ls_fit(p: RegressionProblem) -> LsFit:
     )
 
 
+def qr_compress(p: RegressionProblem) -> RegressionProblem:
+    """The problem as the n + 1 rows of R in [Phi, Y] = QR, or as it is when
+    it has no more rows.  ||Y - Phi theta||^2 is the same at every theta
+    (Golub and Van Loan, Matrix Computations, 5.3): the last row,
+    [0 ... 0 | rho], carries the residual that Phi's columns leave out.
+    Not for FIT, which needs the spread of the raw Y."""
+    n = p.structure.n_theta
+    if p.n_rows <= n + 1:
+        return p
+    R = np.linalg.qr(np.column_stack([p.Phi, p.Y]), mode="r")
+    return RegressionProblem(R[:, n], R[:, :n], p.structure, p.condition_name)
+
+
 def stack_problems(problems: list[RegressionProblem]) -> RegressionProblem:
     """Vertically stack problems sharing one structure into a single system."""
     structure = shared_structure(problems, "problem")

@@ -36,7 +36,7 @@ from .data import (
     shared_structure,
     stack_values,
 )
-from .estimation import LsFit, pooled_ls_fit
+from .estimation import LsFit, pooled_ls_fit, qr_compress
 from .solver import SolveResult, SolverConfig, merged_pairs, solve
 
 _KMEANS_MAX_ITER = 300
@@ -197,11 +197,6 @@ def grid_search(
 
     if len(estimation_problems) >= 2:
         bound = lambda1_max(estimation_problems)
-        if not math.isfinite(bound):
-            raise ValueError(
-                f"lambda1_max is {bound}: the pooled least-squares fit overflows "
-                "on the estimation data"
-            )
         lambda1_candidates = [f * bound for f in grid.lambda1_factors]
     else:
         bound = None
@@ -593,14 +588,14 @@ class PipelineReport:
         return json_text(self.to_dict())
 
 
-def load_problems(
+def _read_datasets(
     manifest: str | Path, structure: ModelStructure, roles: tuple[str, ...]
-) -> dict[str, list[RegressionProblem]]:
-    """Regression problems of the manifest's datasets in each of ``roles``.
+) -> dict[str, list[ConditionDataset]]:
+    """The manifest's datasets in each of ``roles``, in dataset-name order.
 
-    Each role's problems come in dataset-name order; datasets of other
-    roles are not read.  A name listed twice in one role, or an entry whose
-    channel count is not the structure's, raises IngestionError unread.
+    Datasets of other roles are not read.  A name listed twice in one role,
+    or an entry whose channel count is not the structure's, raises
+    IngestionError unread.
     """
     manifest = Path(manifest)
     by_role: dict[str, dict[str, ConditionDataset]] = {role: {} for role in roles}
@@ -616,16 +611,32 @@ def load_problems(
                 f"structure requires {structure.channels}"
             )
         datasets[entry.name] = load_dataset(manifest.parent / entry.file, entry)
+    return {role: [datasets[name] for name in sorted(datasets)] for role, datasets in by_role.items()}
+
+
+def load_problems(
+    manifest: str | Path, structure: ModelStructure, roles: tuple[str, ...]
+) -> dict[str, list[RegressionProblem]]:
+    """Regression problems of the manifest's datasets in each of ``roles``,
+    in dataset-name order (see ``_read_datasets``)."""
     return {
-        role: [build_regressor(datasets[name], structure) for name in sorted(datasets)]
-        for role, datasets in by_role.items()
+        role: [build_regressor(ds, structure) for ds in datasets]
+        for role, datasets in _read_datasets(manifest, structure, roles).items()
     }
 
 
 def _ingest(manifest: str | Path, structure: ModelStructure):
     """Sorted conditions, their estimation and validation problems, and the
-    problems to cross-evaluate on (validation unless evaluation is listed)."""
-    loaded = load_problems(manifest, structure, ("estimation", "validation", "evaluation"))
+    problems to cross-evaluate on (validation unless evaluation is listed).
+    Only these keep their rows: FIT needs the spread of the raw Y.  Every
+    other problem becomes its QR factor as soon as it is built."""
+    datasets = _read_datasets(manifest, structure, ("estimation", "validation", "evaluation"))
+    compressed = ("estimation", "validation") if datasets["evaluation"] else ("estimation",)
+    loaded: dict[str, list[RegressionProblem]] = {role: [] for role in datasets}
+    for role, role_datasets in datasets.items():
+        for ds in role_datasets:
+            p = build_regressor(ds, structure)
+            loaded[role].append(qr_compress(p) if role in compressed else p)
     paired: dict[tuple[str, str], RegressionProblem] = {}
     for role in ("estimation", "validation"):
         for p in loaded[role]:

@@ -81,6 +81,12 @@ class TestLambda2Max:
     def test_zero_targets(self):
         assert lambda2_max([problem(np.eye(2), [0.0, 0.0])]) == 0.0
 
+    def test_overflow_names_the_bound(self):
+        # Phi^T Y = 1e308 is finite, twice it is not.
+        pair = [problem([[1e154]], [1e154]), problem([[1.0]], [0.0], name="C1-1")]
+        with pytest.raises(ValueError, match="lambda2_max is inf: Phi\\^T Y overflows"):
+            compute_bounds(pair)
+
     def test_above_bound_zeroes_everything(self):
         # At lambda2 = lambda2_max the zero vector meets every condition's
         # optimality condition with equality, whatever the fusion weight.

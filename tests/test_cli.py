@@ -179,6 +179,27 @@ class TestBounds:
         report = json.loads(capsys.readouterr().out)
         assert report["lambda1_max"] <= 1e-8
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [150, 151, 152])
+    def test_overflowing_bound_exit_2_names_it(self, tmp_path, capsys, exponent):
+        # Each Gram is finite, but the gradient norms behind lambda1_max are not.
+        path = write_scaled_datasets(tmp_path, exponent, ("BR30-1", "BR40-1"), shifted=("BR40",))
+        assert main(["bounds", "--manifest", str(path), "--taps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "error: lambda1_max is inf: the pooled least-squares fit overflows" in captured.err
+        assert captured.out == ""
+
+    def test_same_bounds_as_the_run_report(self, synth_dir, tmp_path, capsys):
+        # Both commands bound the QR factors of the estimation problems, so
+        # their floats agree bit for bit.
+        manifest = str(synth_dir / "manifest.json")
+        capsys.readouterr()
+        assert main(["bounds", "--manifest", manifest, "--taps", "3"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "run"
+        assert main(["run", "--manifest", manifest, "--out", str(out), *RUN_ARGS]) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["bounds"] == printed
+
     def test_missing_manifest_exit_2(self, tmp_path):
         rc = main(["bounds", "--manifest", str(tmp_path / "none.json"), "--taps", "3"])
         assert rc == 2
@@ -218,14 +239,7 @@ class TestFitCommand:
     def test_overflowing_values_exit_2_without_output(self, tmp_path, capsys):
         # Finite cells near 1e160 pass the reader, but their squares
         # overflow, so no Gram product exists.
-        rows = ["t,s1,y"] + [f"{i},{(-1) ** i * (1 + i % 3)}e160,{i % 5}e160" for i in range(30)]
-        manifest = []
-        for name in ("BR30-1", "BR40-1"):
-            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-            manifest.append({"name": name, "file": f"{name}.csv", "role": "estimation",
-                             "channels": ["s1"], "output": "y"})
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest), encoding="utf-8")
+        path = write_scaled_datasets(tmp_path, 160, ("BR30-1", "BR40-1"))
         out = tmp_path / "fits"
         for argv in (["fit", "--out", str(out)], ["bounds"]):
             capsys.readouterr()
@@ -241,22 +255,12 @@ class TestFitCommand:
         cases = {
             # Each dataset's Gram products overflow.
             160: "error: condition 'BR30-1': its Gram products overflow",
-            # Each Gram is finite, but the pooled fit behind lambda1_max
-            # overflows, so no weight grid exists.
+            # Each Gram is finite, but the norms of the per-condition
+            # gradients at the pooled fit overflow, so no weight grid exists.
             152: "error: lambda1_max is inf: the pooled least-squares fit overflows",
         }
         for exponent, message in cases.items():
-            rows = ["t,s1,y"] + [
-                f"{i},{(-1) ** i * (1 + i % 3)}e{exponent},{i % 5}e{exponent}" for i in range(30)
-            ]
-            manifest = []
-            for name in ("BR30-1", "BR30-2", "BR40-1", "BR40-2"):
-                (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-                role = "estimation" if name.endswith("-1") else "validation"
-                manifest.append({"name": name, "file": f"{name}.csv", "role": role,
-                                 "channels": ["s1"], "output": "y"})
-            path = tmp_path / "manifest.json"
-            path.write_text(json.dumps(manifest), encoding="utf-8")
+            path = write_scaled_datasets(tmp_path, exponent, RUN_SCALED, shifted=("BR40",))
             out = tmp_path / "run"
             argv = ["run", "--manifest", str(path), "--out", str(out), "--taps", "2", "--k", "1"]
             assert main(argv) == 2
@@ -264,6 +268,42 @@ class TestFitCommand:
             assert message in captured.err
             assert "bounds:" not in captured.out
             assert not out.exists()
+
+    def test_identical_conditions_near_overflow_run_with_zero_lambda1_max(self, tmp_path):
+        # Both conditions hold the same data, so the exact bound is 0.  Their
+        # QR factors are equal, so the gradients at the pooled fit come out
+        # exactly 0, where on the built rows their norms overflowed.
+        path = write_scaled_datasets(tmp_path, 152, RUN_SCALED)
+        out = tmp_path / "run"
+        argv = ["run", "--manifest", str(path), "--out", str(out), "--taps", "2", "--k", "1"]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["bounds"]["lambda1_max"] == 0.0
+
+
+RUN_SCALED = ("BR30-1", "BR30-2", "BR40-1", "BR40-2")
+
+
+def write_scaled_datasets(tmp_path, exponent, names, shifted=()):
+    """Datasets of 30 rows (input ``s1``, output ``y``) with every value
+    near 10**exponent, and their manifest; a name ending in ``-1`` is an
+    estimation dataset, any other a validation one.  Conditions listed in
+    ``shifted`` get their outputs shifted by one row, so their data differ
+    from the others'.  Returns the manifest path."""
+    manifest = []
+    for name in names:
+        shift = int(name.split("-")[0] in shifted)
+        rows = ["t,s1,y"] + [
+            f"{i},{(-1) ** i * (1 + i % 3)}e{exponent},{(i + shift) % 5}e{exponent}"
+            for i in range(30)
+        ]
+        (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        role = "estimation" if name.endswith("-1") else "validation"
+        manifest.append({"name": name, "file": f"{name}.csv", "role": role,
+                         "channels": ["s1"], "output": "y"})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
 
 
 RUN_ARGS = ["--taps", "3", "--k", "2", "--seed", "11",
@@ -371,6 +411,25 @@ class TestRun:
         assert main([*argv, *RUN_ARGS, *options]) == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert key_schema(report) == REPORT_SCHEMA
+
+    def test_fit_matrix_scores_the_built_validation_rows(self, synth_dir, tmp_path):
+        # Without evaluation datasets, validation is also what FIT scores,
+        # and FIT needs the spread of the raw outputs, which the QR factor
+        # does not keep.
+        manifest = synth_dir / "manifest.json"
+        out = tmp_path / "run"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out), *RUN_ARGS]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        structure = ModelStructure(taps=3, channels=2)
+        built = pipeline.load_problems(manifest, structure, ("validation",))["validation"]
+        with (out / "fit_matrix.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[1:] == [p.condition_name for p in built]
+        for refit, row in zip(report["refits"], rows, strict=True):
+            assert row[0] == refit["model_source"]
+            theta = np.array(refit["theta"])
+            for p, cell in zip(built, row[1:], strict=True):
+                assert abs(float(cell) - pipeline.fit_metric(p.Y, p.Phi @ theta)) <= 1e-9
 
     def test_missing_manifest_exit_2(self, tmp_path):
         rc = main(

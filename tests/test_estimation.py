@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fusedfir import ModelStructure, RegressionProblem, ls_fit, pooled_ls_fit
-from fusedfir.estimation import _gram_diagnostics, stack_problems
+from fusedfir import ModelStructure, RegressionProblem, compute_bounds, ls_fit, pooled_ls_fit
+from fusedfir.estimation import _gram_diagnostics, qr_compress, stack_problems
 
 from conftest import random_problems
 
@@ -166,3 +168,71 @@ class TestPooled:
     def test_empty(self):
         with pytest.raises(ValueError):
             pooled_ls_fit([])
+
+
+def fit_term(p, theta):
+    r = p.Y - p.Phi @ theta
+    return float(r @ r)
+
+
+class TestQrCompress:
+    """The (n + 1)-row QR factor keeps every quantity that reads a problem
+    only through ||Y - Phi theta||^2."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        data=st.data(),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+        repeat=st.booleans(),
+    )
+    def test_same_fits_gradients_and_bounds_as_the_built_rows(self, seed, n, data, scale, repeat):
+        rows = data.draw(st.lists(st.integers(1, 3 * n), min_size=2, max_size=3), label="rows")
+        rng = np.random.default_rng(seed)
+        built = []
+        for k, m in enumerate(rows):
+            Phi = scale * rng.standard_normal((m, n))
+            if repeat and n > 1:
+                Phi[:, -1] = Phi[:, 0]  # rank-deficient
+            Y = Phi @ rng.standard_normal(n) + 0.1 * scale * rng.standard_normal(Phi.shape[0])
+            built.append(problem(Phi, Y, name=f"C{k}-1"))
+        packed = [qr_compress(p) for p in built]
+        floor = np.finfo(float).eps * sum(float(p.Y @ p.Y) for p in built)
+
+        def close(a, b, absolute=floor):
+            a, b = np.asarray(a), np.asarray(b)
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b) + absolute
+
+        theta = rng.standard_normal(n)
+        for p, c in zip(built, packed):
+            assert c.n_rows <= n + 1
+            assert c.n_rows == p.n_rows or c.n_rows == n + 1
+            if p.n_rows <= n + 1:
+                assert c is p
+            close(fit_term(c, theta), fit_term(p, theta))
+            fit, cfit = ls_fit(p), ls_fit(c)
+            close(cfit.theta.values, fit.theta.values, 0.0)
+            close(cfit.residual_norm_sq, fit.residual_norm_sq)
+        close(pooled_ls_fit(packed).theta.values, pooled_ls_fit(built).theta.values, 0.0)
+        bounds, cbounds = compute_bounds(built), compute_bounds(packed)
+        close(cbounds.per_condition_gradients, bounds.per_condition_gradients)
+        close(cbounds.lambda2_max, bounds.lambda2_max)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_low_noise_fit_term_where_the_gram_form_cancels(self, seed):
+        # Noise at 1e-7 of the signal: at the least-squares fit, the Gram
+        # form ||Y||^2 - 2 b^T theta + theta^T G theta loses its digits to
+        # cancellation, while the QR factor's residual keeps them.
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((400, 15))
+        signal = Phi @ rng.standard_normal(15)
+        Y = signal + 1e-7 * np.linalg.norm(signal) / 20.0 * rng.standard_normal(400)
+        p = problem(Phi, Y)
+        theta = ls_fit(p).theta.values
+        exact = float(sum(
+            (Fraction(y) - sum(Fraction(a) * Fraction(t) for a, t in zip(row, theta))) ** 2
+            for y, row in zip(Y, Phi)
+        ))
+        gram = float(Y @ Y - 2.0 * (Phi.T @ Y) @ theta + theta @ (Phi.T @ Phi) @ theta)
+        assert abs(gram - exact) > 1e-3 * exact
+        assert abs(fit_term(qr_compress(p), theta) - exact) <= 1e-6 * exact

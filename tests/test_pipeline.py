@@ -1092,6 +1092,24 @@ class TestRunPipeline:
         with pytest.raises(IngestionError, match="missing validation"):
             run_pipeline(manifest, scn.structure, GridSpec(), 2, SolverConfig(), seed=0)
 
+    def test_ingest_compresses_all_but_the_problems_fit_scores(self, tmp_path):
+        scn = small_scenario()
+        datasets = generate_synthetic(scn)
+        n, M = scn.structure.n_theta, scn.samples_per_condition - scn.structure.taps + 1
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        plain = write_manifest(tmp_path / "a", datasets)
+        _, est, val, evaluation = fusedfir.pipeline._ingest(plain, scn.structure)
+        assert [p.n_rows for p in est] == [n + 1] * 4
+        # Validation doubles as evaluation here, so it keeps every row.
+        assert evaluation is val and [p.n_rows for p in val] == [M] * 4
+        extra = [{"name": "BR30-3", "file": "BR30-2.csv", "role": "evaluation",
+                  "channels": list(datasets[0].channel_names), "output": "y"}]
+        listed = write_manifest(tmp_path / "b", datasets, extra=extra)
+        _, est, val, evaluation = fusedfir.pipeline._ingest(listed, scn.structure)
+        assert [p.n_rows for p in [*est, *val]] == [n + 1] * 8
+        assert [p.n_rows for p in evaluation] == [M]
+
     def test_evaluation_role_used_when_present(self, tmp_path):
         scn = small_scenario()
         datasets = generate_synthetic(scn)
